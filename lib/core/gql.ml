@@ -159,7 +159,7 @@ let parse_wglog ?schema (src : string) : Gql_wglog.Ast.program =
     deductive semantics prescribes). *)
 let run_wglog ?strategy ?domains (db : db) (p : Gql_wglog.Ast.program) :
     Gql_wglog.Eval.stats =
-  Gql_wglog.Eval.run ?strategy ?domains db.graph p
+  Gql_wglog.Eval.run ?strategy ?domains ~index:(index db) db.graph p
 
 let run_wglog_text ?schema ?strategy ?domains (db : db) (src : string) :
     Gql_wglog.Eval.stats =

@@ -100,8 +100,10 @@ val run_wglog :
   Gql_wglog.Ast.program ->
   Gql_wglog.Eval.stats
 (** Run a program to its deductive fixpoint.  Mutates [db.graph], as the
-    semantics prescribe; idempotent across runs.  [domains] parallelises
-    the matching side of each round; construction stays sequential. *)
+    semantics prescribe; idempotent across runs.  Round 1 matches on the
+    database's cached index (a loaded snapshot's own), so it is not
+    rebuilt.  [domains] parallelises the matching side of each round;
+    construction stays sequential. *)
 
 val run_wglog_text :
   ?schema:Gql_wglog.Schema.t ->

@@ -67,7 +67,7 @@ type check = {
   rerun : xml:string -> source:string -> Oracle.verdict;
 }
 
-let checks_for ~(transport : Oracle.transport option)
+let checks_for ~(transport : (Oracle.transport * Oracle.transport) option)
     ~(fresh_doc : unit -> string) (oracles : Oracle.name list)
     (c : Casegen.case) : check list =
   List.concat_map
@@ -93,7 +93,7 @@ let checks_for ~(transport : Oracle.transport option)
       | Oracle.Direct_vs_served -> (
         match transport with
         | None -> []
-        | Some t ->
+        | Some (t, uncached) ->
           List.map
             (fun source ->
               { oracle; xml = c.Casegen.xml; source; parses = prog_parses;
@@ -101,8 +101,8 @@ let checks_for ~(transport : Oracle.transport option)
                   (fun ~xml ~source ->
                     (* each candidate loads under a fresh name so no
                        stale snapshot or cached result can leak in *)
-                    Oracle.direct_vs_served t ~doc_name:(fresh_doc ()) ~xml
-                      ~source) })
+                    Oracle.direct_vs_served ~uncached t
+                      ~doc_name:(fresh_doc ()) ~xml ~source) })
             [ c.Casegen.xmlgl_src; c.Casegen.wglog_src ])
       | Oracle.Seq_vs_par ->
         List.map
@@ -117,7 +117,8 @@ let checks_for ~(transport : Oracle.transport option)
             parses = prog_parses;
             rerun =
               (fun ~xml ~source ->
-                Oracle.match_vs_algebra transport ~doc_name:(fresh_doc ())
+                Oracle.match_vs_algebra (Option.map fst transport)
+                  ~doc_name:(fresh_doc ())
                   ~xml ~source) } ]
       | Oracle.Loaded_vs_frozen ->
         (* one save/load round-trip per source language: the MATCH leg
@@ -130,13 +131,22 @@ let checks_for ~(transport : Oracle.transport option)
       )
     oracles
 
-(** Run [f] against a live server over a unix socket; tear both down
-    afterwards even if [f] raises. *)
-let with_served (f : Oracle.transport -> 'a) : 'a =
+(* A one-worker server without a result cache, driven in-process: every
+   RUN on it evaluates. *)
+let uncached_server () =
+  Server.create
+    ~config:{ Server.default_config with workers = Some 1; result_cache = 0 }
+    ()
+
+(** Run [f] against a live server over a unix socket and an uncached
+    in-process one; tear everything down afterwards even if [f]
+    raises. *)
+let with_served (f : Oracle.transport * Oracle.transport -> 'a) : 'a =
   let config =
     { Server.default_config with workers = Some 2; result_cache = 64 }
   in
   let server = Server.create ~config () in
+  let uncached = uncached_server () in
   let path = Filename.temp_file "gql-fuzz" ".sock" in
   Sys.remove path;
   let _listener = Server.listen server (Unix.ADDR_UNIX path) in
@@ -145,11 +155,13 @@ let with_served (f : Oracle.transport -> 'a) : 'a =
     ~finally:(fun () ->
       (try Client.close client with _ -> ());
       Server.stop server;
+      Server.stop uncached;
       try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f (Oracle.socket_transport client))
+    (fun () ->
+      f (Oracle.socket_transport client, Oracle.inproc_transport uncached))
 
 let run (cfg : config) : outcome =
-  let body (transport : Oracle.transport option) : outcome =
+  let body transport : outcome =
     let doc_ctr = ref 0 in
     let fresh_doc () =
       incr doc_ctr;
@@ -225,11 +237,12 @@ let replay (r : Corpus.repro) : Oracle.verdict =
   | Some Oracle.Direct_vs_served ->
     let config = { Server.default_config with workers = Some 1 } in
     let server = Server.create ~config () in
+    let uncached = uncached_server () in
     Fun.protect
-      ~finally:(fun () -> Server.stop server)
+      ~finally:(fun () -> Server.stop server; Server.stop uncached)
       (fun () ->
         guard (fun () ->
-            Oracle.direct_vs_served
+            Oracle.direct_vs_served ~uncached:(Oracle.inproc_transport uncached)
               (Oracle.inproc_transport server)
               ~doc_name:"repro" ~xml:r.xml ~source:r.source))
   | Some Oracle.Match_vs_algebra ->

@@ -12,7 +12,8 @@
       planner/executor under both join strategies (compared as sorted
       binding sets — plan order is not part of the contract);
     - {!direct_vs_served}: in-process evaluation vs. a [gql serve]
-      round-trip, cold and cached;
+      round-trip, cold and cached, and for WG-Log twice more without a
+      result cache;
     - {!seq_vs_par}: 1-domain vs. N-domain evaluation — bindings, goal
       embeddings, fixpoint statistics and the derived graph must all be
       byte-identical (the determinism guarantee of [Gql_graph.Par]);
@@ -265,25 +266,26 @@ let direct_body ~xml ~source : (string, string) result =
       | `Unknown ->
         failwith "query source must start with 'xmlgl', 'wglog' or 'match'")
 
-let direct_vs_served (t : transport) ~(doc_name : string) ~(xml : string)
-    ~(source : string) : verdict =
+(* LOAD [xml] under [doc_name] through [t], then judge one RUN of
+   [source] per label against the direct body. *)
+let served_runs (t : transport) ~doc_name ~xml ~source ~direct_load
+    ~(direct : (string, string) result Lazy.t) (runs : string list) : verdict =
   let load = t (Gql_server.Protocol.Load { doc = doc_name; xml }) in
-  let direct_db = capture (fun () -> ignore (Gql_core.Gql.load_xml_string xml)) in
-  match load, direct_db with
+  match load, direct_load with
   | Gql_server.Protocol.Err _, Error _ -> Pass (* both reject the document *)
   | Gql_server.Protocol.Err msg, Ok () -> failf "served LOAD rejected: %s" msg
   | (Gql_server.Protocol.Ok_ _ | Gql_server.Protocol.Timeout _), Error e ->
     failf "direct load rejected where served LOAD answered: %s" e
   | Gql_server.Protocol.Timeout _, Ok () -> Fail "LOAD timed out"
-  | Gql_server.Protocol.Ok_ _, Ok () -> (
-    let direct = direct_body ~xml ~source in
-    let run () =
-      t
-        (Gql_server.Protocol.Run
-           { doc = doc_name; query = `Source source; schema = None; deadline_ms = None })
-    in
-    let check_one label (resp : Gql_server.Protocol.response) =
-      match direct, resp with
+  | Gql_server.Protocol.Ok_ _, Ok () ->
+    let check_one label =
+      let resp =
+        t
+          (Gql_server.Protocol.Run
+             { doc = doc_name; query = `Source source; schema = None;
+               deadline_ms = None })
+      in
+      match Lazy.force direct, resp with
       | Ok body, Gql_server.Protocol.Ok_ { body = served; _ } ->
         if body = served then Pass
         else failf "%s body differs (%d vs %d bytes)" label (String.length body)
@@ -294,9 +296,27 @@ let direct_vs_served (t : transport) ~(doc_name : string) ~(xml : string)
         failf "%s direct raised where served answered: %s" label e
       | _, Gql_server.Protocol.Timeout _ -> failf "%s timed out" label
     in
-    match check_one "cold" (run ()) with
-    | Fail _ as f -> f
-    | Pass -> check_one "cached" (run ()))
+    List.fold_left
+      (fun v label -> match v with Fail _ -> v | Pass -> check_one label)
+      Pass runs
+
+(** [t] answers cold and then from its result cache.  A WG-Log source
+    also runs twice through [uncached], a server without a result
+    cache: both fixpoints evaluate on the same shared snapshot, so one
+    that wrote into it would change the second answer. *)
+let direct_vs_served ~(uncached : transport) (t : transport)
+    ~(doc_name : string) ~(xml : string) ~(source : string) : verdict =
+  let direct_load =
+    capture (fun () -> ignore (Gql_core.Gql.load_xml_string xml))
+  in
+  let direct = lazy (direct_body ~xml ~source) in
+  let served t = served_runs t ~doc_name ~xml ~source ~direct_load ~direct in
+  match served t [ "cold"; "cached" ] with
+  | Fail _ as f -> f
+  | Pass -> (
+    match Gql_core.Gql.language_of_source source with
+    | `Wglog -> served uncached [ "uncached 1"; "uncached 2" ]
+    | `Xmlgl | `Match | `Unknown -> Pass)
 
 (* ------------------------------------------------------------------ *)
 (* (e) sequential vs. domain-parallel evaluation                       *)
@@ -538,7 +558,10 @@ let match_vs_algebra (transport : transport option) ~(doc_name : string)
       the flat postings planes;
     - XML-GL programs compare rendered result documents;
     - WG-Log programs run the fixpoint on a fork of each graph and
-      compare the statistics and the full derived-graph fingerprint.
+      compare the statistics and the full derived-graph fingerprint;
+      the served copy-on-write route over the loaded graph and index
+      must then match the loaded fork's statistics and leave the
+      loaded graph's node and edge counts unchanged.
 
     A save or load that raises is a failure in itself — the generator
     only produces documents the store must accept. *)
@@ -579,7 +602,10 @@ let loaded_vs_frozen ~(xml : string) ~(source : string) : verdict =
                         (Gql_core.Gql.run_xmlgl db (Gql_core.Gql.parse_xmlgl source)))
                 in
                 pair "xmlgl result" (run frozen) (run loaded)
-              | `Wglog ->
+              | `Wglog -> (
+                let counts (s : Gql_wglog.Eval.stats) =
+                  (s.rounds, s.embeddings_found, s.nodes_added, s.edges_added)
+                in
                 let run (db : Gql_core.Gql.db) =
                   capture (fun () ->
                       let g = Gql_data.Graph.copy db.Gql_core.Gql.graph in
@@ -587,11 +613,34 @@ let loaded_vs_frozen ~(xml : string) ~(source : string) : verdict =
                       let stats =
                         Gql_core.Gql.run_wglog fork (Gql_core.Gql.parse_wglog source)
                       in
-                      ( stats.Gql_wglog.Eval.rounds, stats.embeddings_found,
-                        stats.nodes_added, stats.edges_added,
-                        graph_fingerprint g ))
+                      (counts stats, graph_fingerprint g))
                 in
-                pair "wglog fixpoint" (run frozen) (run loaded)
+                (* the served route: copy-on-write over the loaded graph
+                   and its loaded index, which must stay untouched *)
+                let shared (db : Gql_core.Gql.db) =
+                  capture (fun () ->
+                      let g = db.Gql_core.Gql.graph in
+                      let size () =
+                        (Gql_data.Graph.n_nodes g, Gql_data.Graph.n_edges g)
+                      in
+                      let before = size () in
+                      let stats =
+                        Gql_wglog.Eval.run ~index:(Gql_core.Gql.index db)
+                          ~copy_on_write:true g (Gql_core.Gql.parse_wglog source)
+                      in
+                      if size () <> before then
+                        failwith "wrote into the loaded graph";
+                      counts stats)
+                in
+                let eager = run loaded in
+                match pair "wglog fixpoint" (run frozen) eager with
+                | Some _ as d -> d
+                | None -> (
+                  match Result.map fst eager, shared loaded with
+                  | a, b when a = b -> None
+                  | _, Error e -> Some ("copy-on-write fixpoint: " ^ e)
+                  | _ ->
+                    Some "copy-on-write fixpoint differs from the eager fork"))
               | `Match | `Unknown ->
                 let routes (db : Gql_core.Gql.db) =
                   let data = db.Gql_core.Gql.graph in

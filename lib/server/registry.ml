@@ -18,8 +18,11 @@
     entry warm — only genuinely new content invalidates.
 
     The only mutation a query can demand — WG-Log's deductive fixpoint —
-    happens on a {!fork}: a private copy of the data graph, discarded
-    after the request. *)
+    never touches the snapshot: the fixpoint reads the shared graph on
+    the snapshot's own index and, at its first construction, continues
+    on a private order-preserving copy that is discarded after the
+    request ([Gql_wglog.Eval.run ~copy_on_write:true]).  A program that
+    constructs nothing never copies. *)
 
 type snapshot = {
   name : string;
@@ -118,6 +121,7 @@ let names t : string list =
   locked t (fun () ->
       Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort compare)
 
-(** A private mutable copy of the snapshot's graph for deductive runs. *)
+(** A private mutable copy of the snapshot's graph: the eager
+    reference the copy-on-write fixpoint is tested against. *)
 let fork (snap : snapshot) : Gql_data.Graph.t =
   Gql_data.Graph.copy snap.db.Gql_core.Gql.graph

@@ -5,7 +5,9 @@
     {!Pool} of worker domains.  Listeners (TCP and/or Unix-domain)
     accept in a lightweight thread and hand each connection to the
     pool, so up to [workers] connections evaluate in parallel over the
-    same immutable snapshots.
+    same immutable snapshots.  A WG-Log [RUN] reads its snapshot too and
+    writes only to a private copy taken at its first construction (see
+    {!Registry}).
 
     Request handling is a pure [payload -> payload] function
     ({!handle_payload}), which is also the in-process entry point the
@@ -174,9 +176,13 @@ let evaluate t (snap : Registry.snapshot) (entry : Qcache.entry) :
     ( Printf.sprintf "lang=xmlgl hits=%d" (List.length result.Gql_xml.Tree.children),
       body )
   | Qcache.Wglog p ->
-    (* deductive semantics mutate: run on a private fork, publish nothing *)
-    let g = Registry.fork snap in
-    let stats = Gql_wglog.Eval.run ~domains g p in
+    (* deductive semantics mutate: the fixpoint reads the shared
+       snapshot on its index and copies the graph only if a construction
+       has to write; nothing is published *)
+    let stats =
+      Gql_wglog.Eval.run ~domains ~index:snap.Registry.index ~copy_on_write:true
+        snap.Registry.db.Gql_core.Gql.graph p
+    in
     ( Printf.sprintf "lang=wglog derived_edges=%d" stats.Gql_wglog.Eval.edges_added,
       wglog_stats_line stats )
   | Qcache.Match q ->
@@ -221,7 +227,8 @@ let handle_request t (req : Protocol.request) ~(started : float) :
       (Metrics.render t.metrics
       ^ Gql_graph.Par.stats_lines ()
       ^ Gql_graph.Regpath.stats_lines ()
-      ^ Gql_data.Store.stats_lines ())
+      ^ Gql_data.Store.stats_lines ()
+      ^ Gql_wglog.Eval.stats_lines ())
   | Protocol.Load { doc; xml } -> (
     let prior = Registry.find t.registry doc in
     match Registry.load_xml t.registry ~name:doc xml with

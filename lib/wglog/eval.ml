@@ -671,16 +671,37 @@ let delta_seeds (data : Graph.t) (cq : compiled_query) ~(last_gen : int) :
       (Graph.digraph data);
     List.concat_map (fun seeds -> seeds) (Array.to_list acc)
 
-(** Run a program to fixpoint.  Mutates [data]; returns statistics.
+(* Fixpoint bookkeeping, served as METRICS lines: graph copies taken by
+   copy-on-write runs, and indexes a fixpoint built for itself (a
+   caller's index is not counted). *)
+let graph_copies = Atomic.make 0
+let index_builds = Atomic.make 0
 
-    [use_index] (default on) freezes an index for the *unseeded*
-    matching rounds (round 1, naive strategy, regex rules); seeded
-    delta completion already tracks the delta and would pay a rebuild
-    per round for nothing.  The {!Index.cache} makes consecutive rules
-    in a round share one build, and rules whose query footprint is
-    disjoint from everything the program can construct
-    ({!stale_index_ok}) keep reusing the pre-loop index instead of
-    rebuilding it every round.
+let stats_lines () =
+  Printf.sprintf "wglog_graph_copies=%d\nwglog_index_builds=%d\n"
+    (Atomic.get graph_copies) (Atomic.get index_builds)
+
+(** Run a program to fixpoint; returns statistics.
+
+    [data] is mutated in place unless [copy_on_write] is set.  Then the
+    fixpoint only reads [data] — which may be shared with concurrent
+    readers — until the first construction must write; it then takes an
+    order-preserving {!Graph.copy} (same node ids, same adjacency order,
+    so every later enumeration is unchanged) and seeds, matches and
+    constructs on the copy, which is discarded on return.  A program
+    whose green parts already exist (a pure goal, or a saturated
+    database) never copies.
+
+    [use_index] (default on) uses a frozen index for the *unseeded*
+    matching rounds (round 1, naive strategy, regex rules); seeded delta
+    completion already tracks the delta and would pay a rebuild per
+    round for nothing.  [index], when given, is trusted as an exact
+    index of [data] as passed in: round 1 and the rules whose query
+    footprint is disjoint from everything the program can construct
+    ({!stale_index_ok}) run on it instead of on a fresh build.  Other
+    unseeded rounds refresh an {!Index.cache}, so consecutive rules in a
+    round share one build; the cache's physical-equality check rebuilds
+    once the graph has grown or been copied.
 
     [domains] parallelises the matching side of each round — the
     unseeded searches and the completion of the previous round's delta
@@ -689,7 +710,8 @@ let delta_seeds (data : Graph.t) (cq : compiled_query) ~(last_gen : int) :
     domain, so generation stamps and fixpoint results are identical to
     a sequential run. *)
 let run ?(strategy = `Semi_naive) ?(use_index = true) ?(max_rounds = 1000)
-    ?domains (data : Graph.t) (p : Ast.program) : stats =
+    ?domains ?index ?(copy_on_write = false) (data : Graph.t)
+    (p : Ast.program) : stats =
   check_or_raise p;
   let domains =
     match domains with
@@ -702,10 +724,28 @@ let run ?(strategy = `Semi_naive) ?(use_index = true) ?(max_rounds = 1000)
     List.map (fun (r, _) -> stale_index_ok ~adds_nodes ~added_labels r) compiled
   in
   let skolems : skolem_table = Hashtbl.create 64 in
+  let data = ref data and shared = ref copy_on_write in
+  let writable () =
+    if !shared then begin
+      data := Graph.copy !data;
+      shared := false;
+      Atomic.incr graph_copies
+    end;
+    !data
+  in
   let icache = Index.cache () in
+  let refresh () =
+    let before = icache.Index.cached in
+    let idx = Index.refresh icache !data in
+    (match before with
+    | Some b when b == idx -> ()
+    | Some _ | None -> Atomic.incr index_builds);
+    idx
+  in
   let base_index =
-    (* fresh at round 1; still exact in later rounds for stale-ok rules *)
-    if use_index then Some (Index.refresh icache data) else None
+    (* exact at round 1; still exact in later rounds for stale-ok rules *)
+    if not use_index then None
+    else match index with Some _ -> index | None -> Some (refresh ())
   in
   let total_emb = ref 0 and total_nodes = ref 0 and total_edges = ref 0 in
   let round = ref 0 in
@@ -716,6 +756,7 @@ let run ?(strategy = `Semi_naive) ?(use_index = true) ?(max_rounds = 1000)
     let added_this_round = ref 0 in
     List.iteri
       (fun rule_idx ((r, cq), stale_ok) ->
+        let g = !data in
         let embeddings =
           if !round = 1 || strategy = `Naive || cq.has_regex
              || cq.n_pattern_edges = 0
@@ -723,15 +764,15 @@ let run ?(strategy = `Semi_naive) ?(use_index = true) ?(max_rounds = 1000)
             let index =
               if not use_index then None
               else if !round = 1 || stale_ok then base_index
-              else Some (Index.refresh icache data)
+              else Some (refresh ())
             in
-            query_embeddings ?index ~domains data r cq
+            query_embeddings ?index ~domains g r cq
           else begin
             (* Semi-naive: union of delta-seeded matches.  Seeds are
                completed in parallel (pure reads); the dedup below runs
                sequentially over the per-seed lists in seed order, so
                the union is the one a sequential run produces. *)
-            let seeds = delta_seeds data cq ~last_gen:(gen - 1) in
+            let seeds = delta_seeds g cq ~last_gen:(gen - 1) in
             let matched =
               (* work estimate: each seed completes an embedding around
                  one pinned edge — pattern-sized backtracking, not a
@@ -744,7 +785,7 @@ let run ?(strategy = `Semi_naive) ?(use_index = true) ?(max_rounds = 1000)
                 * 4
               in
               Gql_graph.Par.concat_map_chunks ~cost ~domains
-                (fun pre_bound -> query_embeddings ~pre_bound data r cq)
+                (fun pre_bound -> query_embeddings ~pre_bound g r cq)
                 seeds
             in
             let seen = Hashtbl.create 64 in
@@ -761,9 +802,9 @@ let run ?(strategy = `Semi_naive) ?(use_index = true) ?(max_rounds = 1000)
         total_emb := !total_emb + List.length embeddings;
         List.iter
           (fun emb ->
-            if not (green_part_exists data r emb) then begin
+            if not (green_part_exists !data r emb) then begin
               let nn, ne =
-                apply_construction data skolems ~rule_idx ~gen r emb
+                apply_construction (writable ()) skolems ~rule_idx ~gen r emb
               in
               total_nodes := !total_nodes + nn;
               total_edges := !total_edges + ne;

@@ -515,6 +515,166 @@ let test_concurrent_determinism () =
               (int_of_string (List.assoc "requests" kv) >= n_threads * per_thread)
           | Error m -> Alcotest.fail m))
 
+(* --- copy-on-write WG-Log fixpoints ----------------------------------------- *)
+
+(* Every WG-Log program of the workload on its own fixture (the scale
+   fixtures at 2k nodes): (query, doc, schema tag, source). *)
+let wglog_cases =
+  let open Gql_workload.Queries in
+  [ ("Q10", "restaurants", Some "restaurant", q10_src);
+    ("Q11", "hyperdocs", Some "hyperdoc", q11_src);
+    ("Q12", "hyperdocs", Some "hyperdoc", q12_src);
+    ("Q13", "wide", None, q13_src);
+    ("Q14", "deep", None, q14_src);
+    ("Q15", "skewed", None, q15_src) ]
+
+(* A MATCH per fixture over the labels the constructing programs derive,
+   so a derived node or edge leaking into the snapshot changes it. *)
+let probe_of = function
+  | "restaurants" ->
+    "MATCH (l:rest-list)-[:member]->(r:Restaurant)\nRETURN l, r\n"
+  | "hyperdocs" ->
+    "MATCH (a:Document)-[:sibling]->(b:Document)\nRETURN a, b\n"
+  | "wide" -> "MATCH (h:Hub)-[:rel]->(i:Item)\nRETURN h, i\n"
+  | "deep" -> "MATCH (h:Head)-[:next]->(c:Cell)\nRETURN h, c\n"
+  | _ -> "MATCH (g:Group)-[:member]->(m:Member)\nRETURN g, m\n"
+
+let add_wglog_fixtures server =
+  let reg = Server.registry server in
+  List.iter
+    (fun (name, g) -> ignore (Registry.add_graph reg ~name g))
+    [ ("hyperdocs", Gql_workload.Gen.hyperdocs ~seed:85 300);
+      ("wide", Gql_workload.Gen.wide_graph ~hubs:16 2000);
+      ("deep", Gql_workload.Gen.deep_graph ~chains:32 2000);
+      ("skewed", Gql_workload.Gen.skewed_graph ~groups:16 2000) ]
+
+let send server req =
+  Protocol.parse_response
+    (Server.handle_payload server (Protocol.render_request req))
+
+let run_body server ~doc ?schema source =
+  match
+    send server
+      (Protocol.Run { doc; query = `Source source; schema; deadline_ms = None })
+  with
+  | Protocol.Ok_ { body; _ } -> body
+  | r -> Alcotest.failf "RUN on %s: %s" doc (Protocol.render_response r)
+
+(* The reference answer: the fixpoint on an eager fork of the snapshot. *)
+let fork_body server ~doc ?schema source =
+  let snap = Option.get (Registry.find (Server.registry server) doc) in
+  let schema = Result.get_ok (Qcache.schema_of_tag schema) in
+  Server.wglog_stats_line
+    (Gql_wglog.Eval.run (Registry.fork snap)
+       (Gql_core.Gql.parse_wglog ?schema source))
+
+(* (graph copies, fixpoint index builds) as the server's METRICS reports them *)
+let wglog_counters server =
+  match send server Protocol.Metrics with
+  | Protocol.Ok_ { body; _ } ->
+    let kv = Metrics.parse_body body in
+    let get k = int_of_string (List.assoc k kv) in
+    (get "wglog_graph_copies", get "wglog_index_builds")
+  | r -> Alcotest.failf "METRICS: %s" (Protocol.render_response r)
+
+let graph_size server doc =
+  let snap = Option.get (Registry.find (Server.registry server) doc) in
+  let g = snap.Registry.db.Gql_core.Gql.graph in
+  (Gql_data.Graph.n_nodes g, Gql_data.Graph.n_edges g)
+
+let test_wglog_served_uncached () =
+  let server = new_server ~workers:1 ~result_cache:0 () in
+  add_wglog_fixtures server;
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let docs =
+        List.sort_uniq compare (List.map (fun (_, d, _, _) -> d) wglog_cases)
+      in
+      let state doc = (graph_size server doc, run_body server ~doc (probe_of doc)) in
+      let before = List.map (fun doc -> (doc, state doc)) docs in
+      let constructing =
+        List.filter
+          (fun (name, doc, schema, src) ->
+            let expected = fork_body server ~doc ?schema src in
+            let constructs = not (contains ~needle:"+0 nodes, +0 edges" expected) in
+            let copies0, builds0 = wglog_counters server in
+            check (name ^ " first run") expected (run_body server ~doc ?schema src);
+            check (name ^ " second run") expected (run_body server ~doc ?schema src);
+            let copies1, builds1 = wglog_counters server in
+            check_int (name ^ " graph copies")
+              (if constructs then 2 else 0)
+              (copies1 - copies0);
+            if not constructs then
+              check_int (name ^ " index builds") 0 (builds1 - builds0);
+            constructs)
+          wglog_cases
+      in
+      check_bool "Q10 and Q11 construct" true (List.length constructing >= 2);
+      List.iter
+        (fun (doc, st) ->
+          check_bool (doc ^ " snapshot size and MATCH answer unchanged") true
+            (state doc = st))
+        before)
+
+let test_wglog_concurrent_construction () =
+  with_socket_server ~workers:4 ~result_cache:0 (fun server path ->
+      add_wglog_fixtures server;
+      let size0 = graph_size server "hyperdocs" in
+      let expected =
+        fork_body server ~doc:"hyperdocs" ~schema:"hyperdoc"
+          Gql_workload.Queries.q11_src
+      in
+      let bodies = Array.make 4 [] in
+      let client k () =
+        let c = Client.connect_unix path in
+        Fun.protect
+          ~finally:(fun () -> Client.close c)
+          (fun () ->
+            for _ = 1 to 3 do
+              match
+                Client.run c ~doc:"hyperdocs" ~schema:"hyperdoc"
+                  (`Source Gql_workload.Queries.q11_src)
+              with
+              | Ok (_, body) -> bodies.(k) <- body :: bodies.(k)
+              | Error m -> bodies.(k) <- ("ERR " ^ m) :: bodies.(k)
+            done)
+      in
+      List.iter Thread.join (List.init 4 (fun k -> Thread.create (client k) ()));
+      check_bool "Q11 constructs" false (contains ~needle:"+0 edges" expected);
+      Array.iteri
+        (fun k bs ->
+          List.iter
+            (fun b -> check (Printf.sprintf "client %d body" k) expected b)
+            bs)
+        bodies;
+      check_bool "snapshot size unchanged" true
+        (graph_size server "hyperdocs" = size0))
+
+let test_wglog_goal_on_loaded_snapshot () =
+  let path = Filename.temp_file "gql-test-wide" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      ignore
+        (Gql_data.Store.save ~path
+           (Gql_data.Index.build (Gql_workload.Gen.wide_graph ~hubs:64 4000)));
+      let server = new_server ~workers:1 ~result_cache:0 () in
+      Fun.protect
+        ~finally:(fun () -> Server.stop server)
+        (fun () ->
+          (match
+             Registry.load_snapshot (Server.registry server) ~name:"wide" path
+           with
+          | Ok _ -> ()
+          | Error m -> Alcotest.fail m);
+          let src = Gql_workload.Queries.q13_src in
+          let counters0 = wglog_counters server in
+          let served = run_body server ~doc:"wide" src in
+          check_bool "goal neither copies nor indexes" true
+            (wglog_counters server = counters0);
+          check "Q13 on the loaded snapshot" (fork_body server ~doc:"wide" src) served))
+
 (* --- protocol framing ----------------------------------------------------- *)
 
 let test_framing_roundtrip () =
@@ -605,5 +765,14 @@ let () =
             test_malformed_programs_yield_err;
           Alcotest.test_case "8 clients x 4 domains determinism" `Quick
             test_concurrent_determinism;
+        ] );
+      ( "cow-fixpoint",
+        [
+          Alcotest.test_case "WG-Log suite twice uncached" `Quick
+            test_wglog_served_uncached;
+          Alcotest.test_case "4 concurrent constructing runs" `Quick
+            test_wglog_concurrent_construction;
+          Alcotest.test_case "goal on a loaded snapshot" `Quick
+            test_wglog_goal_on_loaded_snapshot;
         ] );
     ]
