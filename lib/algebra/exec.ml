@@ -3,7 +3,9 @@
     Bindings are arrays indexed by pattern variable ([-1] = unbound).
     Operators stream lists; [Expand] is the workhorse: follow the edge
     constraint from the bound endpoint and test the destination's node
-    predicate. *)
+    predicate.  Every operator ticks {!Gql_graph.Deadline} per candidate
+    or binding, so an evaluation past its deadline stops inside the
+    operator that is running. *)
 
 open Gql_data
 
@@ -93,6 +95,7 @@ let run ?(provider : (Graph.node_kind, Graph.edge) Gql_graph.Homo.provider optio
           (fun lo hi ->
             let out = ref [] in
             for i = hi - 1 downto lo do
+              Gql_graph.Deadline.tick ();
               let n = Gql_graph.Iset.get cands i in
               if node_pred var n then begin
                 let b = Array.make k (-1) in
@@ -107,6 +110,7 @@ let run ?(provider : (Graph.node_kind, Graph.edge) Gql_graph.Homo.provider optio
           ~n:(Graph.n_nodes data) (fun lo hi ->
             let out = ref [] in
             for n = hi - 1 downto lo do
+              Gql_graph.Deadline.tick ();
               if node_pred var n then begin
                 let b = Array.make k (-1) in
                 b.(var) <- n;
@@ -152,6 +156,7 @@ let run ?(provider : (Graph.node_kind, Graph.edge) Gql_graph.Homo.provider optio
         ~cost:(List.length bindings * 8)
         ~domains
         (fun b ->
+          Gql_graph.Deadline.tick ();
           let from = b.(src) in
           if from < 0 then []
           else
@@ -159,6 +164,7 @@ let run ?(provider : (Graph.node_kind, Graph.edge) Gql_graph.Homo.provider optio
             | Some tbl -> Hashtbl.find tbl from
             | None -> expand_candidates ?nav cons data ~dir from)
             |> List.filter_map (fun cand ->
+                   Gql_graph.Deadline.tick ();
                    if node_pred dst cand then begin
                      let b' = Array.copy b in
                      b'.(dst) <- cand;
@@ -168,7 +174,9 @@ let run ?(provider : (Graph.node_kind, Graph.edge) Gql_graph.Homo.provider optio
         bindings
     | Plan.Edge_check { input; src; dst; cons; nav; _ } ->
       List.filter
-        (fun b -> edge_ok ?nav cons data ~src:b.(src) ~dst:b.(dst))
+        (fun b ->
+          Gql_graph.Deadline.tick ();
+          edge_ok ?nav cons data ~src:b.(src) ~dst:b.(dst))
         (eval input)
     | Plan.Cross { left; right; _ } ->
       let lefts = eval left and rights = eval right in
@@ -176,13 +184,18 @@ let run ?(provider : (Graph.node_kind, Graph.edge) Gql_graph.Homo.provider optio
         (fun l ->
           List.map
             (fun r ->
+              Gql_graph.Deadline.tick ();
               let merged = Array.copy l in
               Array.iteri (fun i v -> if v >= 0 then merged.(i) <- v) r;
               merged)
             rights)
         lefts
     | Plan.Filter { input; pred; _ } ->
-      List.filter (fun b -> pred data b) (eval input)
+      List.filter
+        (fun b ->
+          Gql_graph.Deadline.tick ();
+          pred data b)
+        (eval input)
   in
   eval plan
 

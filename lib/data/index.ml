@@ -525,6 +525,8 @@ let plane t hint : int array * int array =
   | Some p -> p
   | None ->
     let enc (e : Graph.edge) =
+      (* cancellable: the plane is published only once complete *)
+      Gql_graph.Deadline.tick ();
       let admitted =
         if hint = plane_rel then e.Graph.kind <> Graph.Attribute
         else if hint = plane_child then e.Graph.kind = Graph.Child

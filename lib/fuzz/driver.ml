@@ -67,7 +67,7 @@ type check = {
   rerun : xml:string -> source:string -> Oracle.verdict;
 }
 
-let checks_for ~(transport : (Oracle.transport * Oracle.transport) option)
+let checks_for ~(transport : (Oracle.transport * Server.t) option)
     ~(fresh_doc : unit -> string) (oracles : Oracle.name list)
     (c : Casegen.case) : check list =
   List.concat_map
@@ -101,7 +101,7 @@ let checks_for ~(transport : (Oracle.transport * Oracle.transport) option)
                   (fun ~xml ~source ->
                     (* each candidate loads under a fresh name so no
                        stale snapshot or cached result can leak in *)
-                    Oracle.direct_vs_served ~uncached t
+                    Oracle.direct_vs_served ~uncached ~seed:c.Casegen.seed t
                       ~doc_name:(fresh_doc ()) ~xml ~source) })
             [ c.Casegen.xmlgl_src; c.Casegen.wglog_src ])
       | Oracle.Seq_vs_par ->
@@ -141,7 +141,7 @@ let uncached_server () =
 (** Run [f] against a live server over a unix socket and an uncached
     in-process one; tear everything down afterwards even if [f]
     raises. *)
-let with_served (f : Oracle.transport * Oracle.transport -> 'a) : 'a =
+let with_served (f : Oracle.transport * Server.t -> 'a) : 'a =
   let config =
     { Server.default_config with workers = Some 2; result_cache = 64 }
   in
@@ -158,7 +158,7 @@ let with_served (f : Oracle.transport * Oracle.transport -> 'a) : 'a =
       Server.stop uncached;
       try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      f (Oracle.socket_transport client, Oracle.inproc_transport uncached))
+      f (Oracle.socket_transport client, uncached))
 
 let run (cfg : config) : outcome =
   let body transport : outcome =
@@ -242,7 +242,7 @@ let replay (r : Corpus.repro) : Oracle.verdict =
       ~finally:(fun () -> Server.stop server; Server.stop uncached)
       (fun () ->
         guard (fun () ->
-            Oracle.direct_vs_served ~uncached:(Oracle.inproc_transport uncached)
+            Oracle.direct_vs_served ~uncached ~seed:r.seed
               (Oracle.inproc_transport server)
               ~doc_name:"repro" ~xml:r.xml ~source:r.source))
   | Some Oracle.Match_vs_algebra ->

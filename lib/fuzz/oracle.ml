@@ -12,8 +12,9 @@
       planner/executor under both join strategies (compared as sorted
       binding sets — plan order is not part of the contract);
     - {!direct_vs_served}: in-process evaluation vs. a [gql serve]
-      round-trip, cold and cached, and for WG-Log twice more without a
-      result cache;
+      round-trip and an in-process server without a result cache, each
+      first under a deadline of a few us to 1 ms (the same answer or a
+      cancellation), then unbounded on the same snapshot and cached;
     - {!seq_vs_par}: 1-domain vs. N-domain evaluation — bindings, goal
       embeddings, fixpoint statistics and the derived graph must all be
       byte-identical (the determinism guarantee of [Gql_graph.Par]);
@@ -266,10 +267,29 @@ let direct_body ~xml ~source : (string, string) result =
       | `Unknown ->
         failwith "query source must start with 'xmlgl', 'wglog' or 'match'")
 
+(* Judge one answer against the direct evaluation. *)
+let agrees ~(direct : (string, string) result Lazy.t) label = function
+  | Ok body -> (
+    match Lazy.force direct with
+    | Ok want when want = body -> Pass
+    | Ok want ->
+      failf "%s body differs (%d vs %d bytes)" label (String.length want)
+        (String.length body)
+    | Error e -> failf "%s answered where direct raised: %s" label e)
+  | Error e -> (
+    match Lazy.force direct with
+    | Error _ -> Pass
+    | Ok _ -> failf "%s raised where direct answered: %s" label e)
+
+let first_fail (checks : (unit -> verdict) list) : verdict =
+  List.fold_left (fun v c -> match v with Fail _ -> v | Pass -> c ()) Pass checks
+
 (* LOAD [xml] under [doc_name] through [t], then judge one RUN of
-   [source] per label against the direct body. *)
+   [source] per (label, deadline) against the direct body.  A RUN with a
+   deadline may answer TIMEOUT instead. *)
 let served_runs (t : transport) ~doc_name ~xml ~source ~direct_load
-    ~(direct : (string, string) result Lazy.t) (runs : string list) : verdict =
+    ~(direct : (string, string) result Lazy.t) (runs : (string * float option) list) :
+    verdict =
   let load = t (Gql_server.Protocol.Load { doc = doc_name; xml }) in
   match load, direct_load with
   | Gql_server.Protocol.Err _, Error _ -> Pass (* both reject the document *)
@@ -278,45 +298,98 @@ let served_runs (t : transport) ~doc_name ~xml ~source ~direct_load
     failf "direct load rejected where served LOAD answered: %s" e
   | Gql_server.Protocol.Timeout _, Ok () -> Fail "LOAD timed out"
   | Gql_server.Protocol.Ok_ _, Ok () ->
-    let check_one label =
-      let resp =
+    let check_one (label, deadline_ms) () =
+      match
         t
           (Gql_server.Protocol.Run
-             { doc = doc_name; query = `Source source; schema = None;
-               deadline_ms = None })
-      in
-      match Lazy.force direct, resp with
-      | Ok body, Gql_server.Protocol.Ok_ { body = served; _ } ->
-        if body = served then Pass
-        else failf "%s body differs (%d vs %d bytes)" label (String.length body)
-               (String.length served)
-      | Error _, Gql_server.Protocol.Err _ -> Pass
-      | Ok _, Gql_server.Protocol.Err msg -> failf "%s served ERR: %s" label msg
-      | Error e, Gql_server.Protocol.Ok_ _ ->
-        failf "%s direct raised where served answered: %s" label e
-      | _, Gql_server.Protocol.Timeout _ -> failf "%s timed out" label
+             { doc = doc_name; query = `Source source; schema = None; deadline_ms })
+      with
+      | Gql_server.Protocol.Ok_ { body; _ } -> agrees ~direct label (Ok body)
+      | Gql_server.Protocol.Err msg -> agrees ~direct label (Error msg)
+      | Gql_server.Protocol.Timeout _ ->
+        if deadline_ms = None then failf "%s timed out" label else Pass
     in
-    List.fold_left
-      (fun v label -> match v with Fail _ -> v | Pass -> check_one label)
-      Pass runs
+    first_fail (List.map check_one runs)
 
-(** [t] answers cold and then from its result cache.  A WG-Log source
-    also runs twice through [uncached], a server without a result
-    cache: both fixpoints evaluate on the same shared snapshot, so one
-    that wrote into it would change the second answer. *)
-let direct_vs_served ~(uncached : transport) (t : transport)
+(** What the direct engines answer over a served snapshot: its graph and
+    its index, read the way the server reads them (a WG-Log fixpoint
+    copies on write). *)
+let snapshot_body (snap : Gql_server.Registry.snapshot) ~source :
+    (string, string) result =
+  let graph = snap.Gql_server.Registry.db.Gql_core.Gql.graph
+  and index = snap.Gql_server.Registry.index in
+  capture (fun () ->
+      match Gql_core.Gql.language_of_source source with
+      | `Xmlgl ->
+        Gql_core.Gql.to_xml_string
+          (Gql_xmlgl.Engine.run_program ~index graph
+             (Gql_core.Gql.parse_xmlgl source))
+      | `Wglog ->
+        Gql_server.Server.wglog_stats_line
+          (Gql_wglog.Eval.run ~index ~copy_on_write:true graph
+             (Gql_core.Gql.parse_wglog source))
+      | `Match ->
+        fst (Gql_match.Eval.run ~index graph (Gql_core.Gql.parse_match source))
+      | `Unknown ->
+        failwith "query source must start with 'xmlgl', 'wglog' or 'match'")
+
+(** The deadline of the bounded runs, drawn from the case seed: 2 us to
+    1 ms out, log-uniform, so cancellation lands at different check
+    sites across cases. *)
+let budget_s ~seed =
+  let rng = Gql_workload.Prng.create ((seed * 31) + 7) in
+  2e-6 *. (500.0 ** Gql_workload.Prng.float rng)
+
+(* The direct engines on [server]'s fresh snapshot of [xml]: once under
+   the deadline, which must answer the direct body or be cancelled, then
+   unbounded on the same snapshot, which must still answer it — so the
+   cancelled run published no partial path memo. *)
+let bounded_direct (server : Gql_server.Server.t) ~doc_name ~xml ~source
+    ~budget ~direct : verdict =
+  match
+    inproc_transport server (Gql_server.Protocol.Load { doc = doc_name; xml })
+  with
+  | Gql_server.Protocol.Err _ | Gql_server.Protocol.Timeout _ ->
+    Pass (* the served leg has judged the LOAD already *)
+  | Gql_server.Protocol.Ok_ _ ->
+    let snap =
+      Option.get
+        (Gql_server.Registry.find (Gql_server.Server.registry server) doc_name)
+    in
+    first_fail
+      [ (fun () ->
+          match
+            Gql_graph.Deadline.with_deadline (Unix.gettimeofday () +. budget)
+              (fun () -> snapshot_body snap ~source)
+          with
+          | r -> agrees ~direct "bounded direct" r
+          | exception Gql_graph.Deadline.Exceeded -> Pass);
+        (fun () -> agrees ~direct "unbounded direct" (snapshot_body snap ~source)) ]
+
+(** Each path first answers under a deadline drawn from [seed] (a few us
+    to 1 ms) and then without one; a bounded answer must equal the
+    direct one or be a TIMEOUT, and every later answer must equal it, so
+    a cancelled evaluation published nothing.  [t] runs it bounded,
+    unbounded and from its result cache.  [uncached], an in-process
+    server without a result cache, runs it through the direct engines on
+    its fresh snapshot ({!bounded_direct}), then as a bounded [RUN] and
+    twice unbounded: every WG-Log fixpoint evaluates on the same shared
+    snapshot, so one that wrote into it would change a later answer. *)
+let direct_vs_served ~(uncached : Gql_server.Server.t) ~seed (t : transport)
     ~(doc_name : string) ~(xml : string) ~(source : string) : verdict =
   let direct_load =
     capture (fun () -> ignore (Gql_core.Gql.load_xml_string xml))
   in
   let direct = lazy (direct_body ~xml ~source) in
+  let budget = budget_s ~seed in
+  let bounded = ("bounded", Some (budget *. 1000.0)) in
   let served t = served_runs t ~doc_name ~xml ~source ~direct_load ~direct in
-  match served t [ "cold"; "cached" ] with
-  | Fail _ as f -> f
-  | Pass -> (
-    match Gql_core.Gql.language_of_source source with
-    | `Wglog -> served uncached [ "uncached 1"; "uncached 2" ]
-    | `Xmlgl | `Match | `Unknown -> Pass)
+  first_fail
+    [ (fun () -> served t [ bounded; ("unbounded", None); ("cached", None) ]);
+      (fun () -> bounded_direct uncached ~doc_name ~xml ~source ~budget ~direct);
+      (fun () ->
+        served (inproc_transport uncached)
+          [ bounded; ("uncached 1", None); ("uncached 2", None) ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* (e) sequential vs. domain-parallel evaluation                       *)

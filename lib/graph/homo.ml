@@ -169,13 +169,18 @@ let instance ~(shared : ('n, 'e) shared) ~(copy_cands : bool)
         let c =
           match provider.prov_candidates p with
           | Some s ->
-            Iset.filter (fun i -> pat.p_nodes.(p) i (Digraph.payload g i)) s
+            Iset.filter
+              (fun i ->
+                Deadline.tick ();
+                pat.p_nodes.(p) i (Digraph.payload g i))
+              s
           | None ->
             Iset.unsafe_of_sorted_array
               (Array.of_list
                  (List.rev
                     (Digraph.fold_nodes
                        (fun acc i payload ->
+                         Deadline.tick ();
                          if pat.p_nodes.(p) i payload then i :: acc else acc)
                        [] g)))
         in
@@ -412,8 +417,11 @@ let instance ~(shared : ('n, 'e) shared) ~(copy_cands : bool)
             (p, cands, sat)
         in
         bound.(p) <- true;
+        (* one backtracking step per candidate tried: the deadline's
+           unit of work, so a cancelled search unwinds from here *)
         Iset.iter
           (fun candidate ->
+            Deadline.tick ();
             binding.(p) <- candidate;
             if edges_ok ~skip:sat p then extend ~first:None (depth + 1))
           cands;

@@ -309,7 +309,8 @@ let chunk_count ~cost ~slots_wanted ~n =
     so [List.concat (map_chunks ~domains ~n f)] equals the sequential
     [f 0 n] whenever [f] concatenates over its range.  If any [f]
     raises, the exception of the lowest-numbered failing chunk is
-    re-raised after the whole job has completed.
+    re-raised after the whole job has completed.  Chunks run under the
+    caller's {!Deadline}, whichever domain claims them.
 
     Runs sequentially (one [f 0 n] call, no pool traffic) when
     [domains <= 1], [n < 2], when called from inside a pool worker, or
@@ -337,6 +338,14 @@ let map_chunks ?cost ~(domains : int) ~(n : int) (f : int -> int -> 'a) :
       let seats = min (domains - 1) (n - 1) in
       let n_chunks = chunk_count ~cost ~slots_wanted:(seats + 1) ~n in
       let slots : ('a, exn) result option array = Array.make n_chunks None in
+      (* chunks run under the submitter's deadline on whichever domain
+         claims them, so a cancelled request stops on every domain *)
+      let deadline = Deadline.current () in
+      let f =
+        if deadline = infinity then f
+        else fun lo hi ->
+          Deadline.with_deadline deadline (fun () -> Deadline.check (); f lo hi)
+      in
       let job =
         {
           j_chunks = n_chunks;

@@ -530,6 +530,9 @@ let search_scratch (t : 'e t) (h : half) (spec : spec) (s : scratch)
      in
      let cursor = ref 0 in
      while !cursor < s.n_frontier do
+       (* a cancelled search unwinds through [finish], leaving [s] clean;
+          callers memoise only completed results *)
+       Deadline.tick ();
        let u = Array.unsafe_get s.frontier !cursor in
        cur_q := Array.unsafe_get s.fstate !cursor;
        incr cursor;

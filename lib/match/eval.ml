@@ -47,15 +47,21 @@ let header (c : Compile.t) : string =
   String.concat "\t" (List.map (fun (r, _) -> Pp.ret r) c.Compile.ret_cols)
 
 (** Projected rows in canonical order: rendered, then sorted as strings
-    (duplicates kept — bag semantics). *)
+    (duplicates kept — bag semantics).  Rendering ticks
+    {!Gql_graph.Deadline} per row and checks it once more before the
+    sort. *)
 let rows (data : Graph.t) (c : Compile.t) (embs : int array list) :
     string list =
-  List.sort String.compare
-    (List.map
-       (fun emb ->
-         String.concat "\t"
-           (List.map (fun col -> cell data col emb) c.Compile.ret_cols))
-       embs)
+  let rendered =
+    List.map
+      (fun emb ->
+        Gql_graph.Deadline.tick ();
+        String.concat "\t"
+          (List.map (fun col -> cell data col emb) c.Compile.ret_cols))
+      embs
+  in
+  Gql_graph.Deadline.check ();
+  List.sort String.compare rendered
 
 (** The canonical result text: header line, then sorted rows, newline
     terminated. *)

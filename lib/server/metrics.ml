@@ -89,7 +89,9 @@ type t = {
   started_at : float;
   requests : int Atomic.t;
   errors : int Atomic.t;
-  timeouts : int Atomic.t;
+  timeouts : int Atomic.t;  (** every [TIMEOUT] answer *)
+  cancelled : int Atomic.t;
+      (** the [TIMEOUT]s whose evaluation was stopped inside an engine *)
   loads : int Atomic.t;
   runs : int Atomic.t;
   prepared_hits : int Atomic.t;  (** query cache: parse+plan reused *)
@@ -107,6 +109,7 @@ let create () =
     requests = Atomic.make 0;
     errors = Atomic.make 0;
     timeouts = Atomic.make 0;
+    cancelled = Atomic.make 0;
     loads = Atomic.make 0;
     runs = Atomic.make 0;
     prepared_hits = Atomic.make 0;
@@ -129,6 +132,7 @@ let render (t : t) : string =
   ki "requests" (Atomic.get t.requests);
   ki "errors" (Atomic.get t.errors);
   ki "timeouts" (Atomic.get t.timeouts);
+  ki "cancelled" (Atomic.get t.cancelled);
   ki "loads" (Atomic.get t.loads);
   ki "runs" (Atomic.get t.runs);
   ki "prepared_cache_hits" (Atomic.get t.prepared_hits);

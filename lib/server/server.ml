@@ -14,18 +14,26 @@
     tests and benchmarks drive without sockets.
 
     Deadlines: a [RUN] may carry [deadline=MS] (or inherit the server
-    default).  The engines are not preemptible, so the deadline is
-    enforced at the evaluation boundaries — a request that has already
-    overstayed when it reaches the evaluator, or that finishes past its
-    deadline, answers [TIMEOUT] instead of the result.  A completed
-    result is still cached, so a retry of a timed-out query usually
-    hits. *)
+    default), measured from the request's arrival.  A request already
+    overdue when it reaches the evaluator answers [TIMEOUT] without
+    evaluating.  Otherwise the evaluation runs under the deadline
+    ({!Gql_graph.Deadline}): the engines poll it in their loops — plan
+    operators, path searches, backtracking steps, fixpoint rounds and
+    constructions, row rendering, on every domain the request fans out
+    to — and an overdue evaluation stops within a few milliseconds,
+    answers [TIMEOUT] and frees its worker.  A cancelled evaluation
+    publishes nothing: no result-, plan- or path-memo entry, and the
+    snapshot is untouched.  A result that completes just past its
+    deadline also answers [TIMEOUT], but it is complete, so it is
+    cached and a retry usually hits. *)
 
 type config = {
   workers : int option;  (** worker domains; default {!Pool.default_size} *)
   result_cache : int;  (** LRU capacity; [0] disables result caching *)
   query_cache : int;  (** prepared-query capacity *)
   default_deadline_ms : float option;
+      (** deadline for a [RUN] that carries none; evaluation is
+          cancelled inside the engines once it passes *)
   run_domains : int option;
       (** domains per [RUN] evaluation; [None] (the default) sizes each
           RUN by {!Gql_graph.Par.auto_domains} — a lone request borrows
@@ -295,23 +303,32 @@ let handle_request t (req : Protocol.request) ~(started : float) :
             let overdue () =
               match deadline with Some d -> elapsed_ms () > d | None -> false
             in
-            if overdue () then begin
+            let timeout () =
               Metrics.incr t.metrics.Metrics.timeouts;
               Protocol.Timeout { elapsed_ms = elapsed_ms () }
-            end
+            in
+            if overdue () then timeout ()
             else begin
               Metrics.incr t.metrics.Metrics.runs;
-              let info, body =
-                with_result_cache t snap entry "run" (fun () ->
-                    evaluate t snap entry)
+              let due =
+                match deadline with
+                | Some d -> started +. (d /. 1000.0)
+                | None -> infinity
               in
-              if overdue () then begin
-                (* the work is done (and cached) but the client's budget
-                   is blown: answer the truth *)
-                Metrics.incr t.metrics.Metrics.timeouts;
-                Protocol.Timeout { elapsed_ms = elapsed_ms () }
-              end
-              else
+              match
+                Gql_graph.Deadline.with_deadline due (fun () ->
+                    with_result_cache t snap entry "run" (fun () ->
+                        evaluate t snap entry))
+              with
+              | exception Gql_graph.Deadline.Exceeded ->
+                (* stopped inside an engine, before anything was cached *)
+                Metrics.incr t.metrics.Metrics.cancelled;
+                timeout ()
+              | _ when overdue () ->
+                (* the work completed (and is cached) but the client's
+                   budget is blown: answer the truth *)
+                timeout ()
+              | info, body ->
                 ok ~info:(Printf.sprintf "%s ms=%.2f" info (elapsed_ms ())) body
             end))
 

@@ -708,7 +708,12 @@ let stats_lines () =
     seeds.  Graph mutation ([apply_construction]), Skolem-table updates
     and the per-rule dedup stay strictly sequential on the calling
     domain, so generation stamps and fixpoint results are identical to
-    a sequential run. *)
+    a sequential run.
+
+    Every round and every construction checks {!Gql_graph.Deadline}; a
+    run past its deadline raises [Deadline.Exceeded].  Under
+    [copy_on_write] that discards only the private copy; an in-place
+    run leaves [data] with the constructions made so far. *)
 let run ?(strategy = `Semi_naive) ?(use_index = true) ?(max_rounds = 1000)
     ?domains ?index ?(copy_on_write = false) (data : Graph.t)
     (p : Ast.program) : stats =
@@ -751,6 +756,7 @@ let run ?(strategy = `Semi_naive) ?(use_index = true) ?(max_rounds = 1000)
   let round = ref 0 in
   let continue_ = ref true in
   while !continue_ && !round < max_rounds do
+    Gql_graph.Deadline.check ();
     incr round;
     let gen = !round in
     let added_this_round = ref 0 in
@@ -803,6 +809,7 @@ let run ?(strategy = `Semi_naive) ?(use_index = true) ?(max_rounds = 1000)
         List.iter
           (fun emb ->
             if not (green_part_exists !data r emb) then begin
+              Gql_graph.Deadline.check ();
               let nn, ne =
                 apply_construction (writable ()) skolems ~rule_idx ~gen r emb
               in

@@ -67,6 +67,26 @@ let test_budget_accounting () =
   ignore (Par.map_chunks ~domains:8 ~n:64 (fun lo hi -> hi - lo));
   check_int "map_chunks refunds its extra domains" before (Par.auto_domains ())
 
+let test_deadline_reaches_chunks () =
+  let before = Par.auto_domains () in
+  let t0 = Unix.gettimeofday () in
+  (match
+     Gql_graph.Deadline.with_deadline (t0 +. 0.02) (fun () ->
+         Par.map_chunks ~domains:2 ~n:8 (fun _ _ ->
+             (* spin until cancelled; give up after 2 s, so a chunk that
+                never sees the deadline fails the test instead of hanging *)
+             while Unix.gettimeofday () -. t0 < 2.0 do
+               Gql_graph.Deadline.tick ()
+             done))
+   with
+  | _ -> Alcotest.fail "expected Deadline.Exceeded"
+  | exception Gql_graph.Deadline.Exceeded -> ());
+  check "chunks on every domain stopped at the deadline" true
+    (Unix.gettimeofday () -. t0 < 1.0);
+  check "caller's deadline restored" true
+    (Gql_graph.Deadline.current () = infinity);
+  check_int "budget refunded" before (Par.auto_domains ())
+
 let test_nested_call_degrades () =
   (* a chunk body that fans out again must run sequentially, not spawn
      recursively — observable as exactly one inner chunk per outer *)
@@ -326,6 +346,8 @@ let () =
             test_exception_leaves_scheduler_usable;
           Alcotest.test_case "budget charge and refund" `Quick
             test_budget_accounting;
+          Alcotest.test_case "deadline reaches pool chunks" `Quick
+            test_deadline_reaches_chunks;
           Alcotest.test_case "nested call degrades to sequential" `Quick
             test_nested_call_degrades;
         ] );

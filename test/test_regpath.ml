@@ -130,6 +130,30 @@ let test_scratch_across_sizes () =
       (Regpath.connects rp big ~src:0 ~dst:499)
   done
 
+let test_cancelled_search () =
+  (* a search cancelled mid-frontier must leave the domain's scratch
+     clean and released: the next searches reuse it and stay exact *)
+  let n = 5000 in
+  let chain =
+    build (List.init n string_of_int)
+      (List.init (n - 1) (fun i -> (i, "x", i + 1)))
+  in
+  let small = build [ "a"; "b" ] [ (0, "x", 1) ] in
+  let rp = compile_lbl Gql_regex.Syntax.(plus (sym "x")) in
+  (match
+     Deadline.with_deadline (Unix.gettimeofday () -. 1.0) (fun () ->
+         Regpath.reachable rp chain 0)
+   with
+  | _ -> Alcotest.fail "expected Deadline.Exceeded"
+  | exception Deadline.Exceeded -> ());
+  let before = Regpath.stats () in
+  check_list "small graph after the cancel" [ 1 ] (Regpath.reachable rp small 0);
+  check_list "the same search, unbounded"
+    (List.init (n - 1) (fun i -> i + 1))
+    (Regpath.reachable rp chain 0);
+  let d = Regpath.stats_diff ~before (Regpath.stats ()) in
+  check "scratch was released and reused" true (d.Regpath.scratch_reuses >= 2)
+
 let test_counters_move () =
   let before = Regpath.stats () in
   let g = build [ "a"; "b" ] [ (0, "x", 1) ] in
@@ -298,6 +322,7 @@ let () =
           Alcotest.test_case "batch vs single" `Quick test_batch_vs_single;
           Alcotest.test_case "scratch across graph sizes" `Quick
             test_scratch_across_sizes;
+          Alcotest.test_case "cancelled search" `Quick test_cancelled_search;
           Alcotest.test_case "counters move" `Quick test_counters_move;
         ] );
       ( "equivalence",

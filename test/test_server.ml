@@ -675,6 +675,176 @@ let test_wglog_goal_on_loaded_snapshot () =
             (wglog_counters server = counters0);
           check "Q13 on the loaded snapshot" (fork_body server ~doc:"wide" src) served))
 
+(* --- cancellation at the deadline ----------------------------------------- *)
+
+(* Pathological RUNs, one per engine check site.  Each runs well over 4x
+   the 20 ms deadline unbounded; with the deadline it must stop inside
+   the engine, answer TIMEOUT in under half the unbounded time, publish
+   nothing (the unbounded rerun answers the reference body) and leave
+   the snapshot as it was. *)
+type heavy = {
+  h_doc : string;
+  h_fixture : Registry.t -> unit;
+  h_schema : string option;
+  h_src : string;
+}
+
+let graph_fixture name make =
+  let g = lazy (make ()) in
+  fun reg -> ignore (Registry.add_graph reg ~name (Lazy.force g))
+
+let xml_fixture name make =
+  let xml = lazy (Gql_xml.Printer.to_string (make ())) in
+  fun reg -> ignore (Result.get_ok (Registry.load_xml reg ~name (Lazy.force xml)))
+
+(* MATCH: the deadline-mix closure — Exec's Expand and the row render *)
+let heavy_match =
+  { h_doc = "deep";
+    h_fixture =
+      graph_fixture "deep" (fun () -> Gql_workload.Gen.deep_graph ~chains:64 200_000);
+    h_schema = None;
+    h_src = "MATCH (h:Head)-[:next+]->(t:Cell)\nRETURN h, t\n" }
+
+(* XML-GL: Q4's value join, where Homo backtracks over every pair *)
+let heavy_xmlgl =
+  { h_doc = "greengrocer";
+    h_fixture =
+      xml_fixture "greengrocer" (fun () ->
+          Gql_workload.Gen.greengrocer ~seed:83 ~vendors:400 10_000);
+    h_schema = None;
+    h_src = Gql_workload.Queries.q4_src }
+
+(* WG-Log: one construction per item of a wide scale fixture *)
+let heavy_wglog =
+  { h_doc = "wide";
+    h_fixture =
+      graph_fixture "wide" (fun () -> Gql_workload.Gen.wide_graph ~hubs:64 200_000);
+    h_schema = None;
+    h_src = "wglog\nrule\n  node h Hub\n  node i Item\n  edge h rel i\n  cedge i owner h\nend\n" }
+
+(* Regular path: Q12's index+ closure per root document, memo cold *)
+let heavy_path =
+  { h_doc = "hyperdocs";
+    h_fixture =
+      graph_fixture "hyperdocs" (fun () -> Gql_workload.Gen.hyperdocs ~seed:85 6_000);
+    h_schema = Some "hyperdoc";
+    h_src = Gql_workload.Queries.q12_src }
+
+let heavy_server ?(result_cache = 64) ?(domains = 1) (h : heavy) =
+  let server =
+    Server.create
+      ~config:
+        { Server.default_config with
+          workers = Some 1; result_cache; run_domains = Some domains }
+      ()
+  in
+  h.h_fixture (Server.registry server);
+  server
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, (Unix.gettimeofday () -. t0) *. 1000.0)
+
+let heavy_run ?deadline_ms server (h : heavy) =
+  send server
+    (Protocol.Run
+       { doc = h.h_doc; query = `Source h.h_src; schema = h.h_schema; deadline_ms })
+
+let metric server key =
+  match send server Protocol.Metrics with
+  | Protocol.Ok_ { body; _ } -> int_of_string (List.assoc key (Metrics.parse_body body))
+  | r -> Alcotest.failf "METRICS: %s" (Protocol.render_response r)
+
+let check_cancel ?(domains = 1) (h : heavy) () =
+  (* the reference and the unbounded time come from a separate server,
+     so every cache of the server under test is still cold *)
+  let reference, unbounded_ms =
+    let server = heavy_server ~domains h in
+    Fun.protect
+      ~finally:(fun () -> Server.stop server)
+      (fun () -> timed (fun () -> heavy_run server h))
+  in
+  let reference =
+    match reference with
+    | Protocol.Ok_ { body; _ } -> body
+    | r -> Alcotest.failf "unbounded RUN: %s" (Protocol.render_response r)
+  in
+  check_bool "pathological: unbounded run takes over 4x the deadline" true
+    (unbounded_ms > 80.0);
+  let server = heavy_server ~domains h in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let size0 = graph_size server h.h_doc in
+      let jobs0 = metric server "par_jobs" in
+      let resp, bounded_ms = timed (fun () -> heavy_run ~deadline_ms:20.0 server h) in
+      if domains > 1 then
+        check_bool "the cancelled RUN fanned out" true (metric server "par_jobs" > jobs0);
+      (match resp with
+      | Protocol.Timeout _ -> ()
+      | r -> Alcotest.failf "deadline=20: %s" (Protocol.render_response r));
+      check_bool "TIMEOUT in under half the unbounded time" true
+        (bounded_ms < unbounded_ms /. 2.0);
+      check_int "cancelled inside an engine" 1 (metric server "cancelled");
+      (match heavy_run server h with
+      | Protocol.Ok_ { body; info } ->
+        check "unbounded rerun answers the reference" reference body;
+        check_bool "nothing was cached" false (contains ~needle:"cached" info)
+      | r -> Alcotest.failf "unbounded rerun: %s" (Protocol.render_response r));
+      check_bool "snapshot unchanged" true (graph_size server h.h_doc = size0);
+      check_int "timeouts" 1 (metric server "timeouts"))
+
+(* One worker: a short RUN queued behind a cancelled heavy one is
+   answered once the heavy RUN gives its worker back. *)
+let test_cancel_frees_worker () =
+  let h = heavy_match in
+  (* no result cache: the heavy RUN evaluates every time *)
+  let server = heavy_server ~result_cache:0 h in
+  ignore
+    (Registry.add_graph (Server.registry server) ~name:"small"
+       (Gql_workload.Gen.deep_graph ~chains:4 40));
+  let unbounded_ms = snd (timed (fun () -> heavy_run server h)) in
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "gql-cancel-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
+  in
+  let _ = Server.listen server (Unix.ADDR_UNIX path) in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop server;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () ->
+      let heavy_answer = ref (Error "not answered") in
+      let heavy_client =
+        Thread.create
+          (fun () ->
+            let c = Client.connect_unix path in
+            Fun.protect
+              ~finally:(fun () -> Client.close c)
+              (fun () ->
+                heavy_answer :=
+                  Client.run c ~doc:h.h_doc ~deadline_ms:20.0 (`Source h.h_src)))
+          ()
+      in
+      Thread.delay 0.005;
+      let c = Client.connect_unix path in
+      let short, short_ms =
+        Fun.protect
+          ~finally:(fun () -> Client.close c)
+          (fun () ->
+            timed (fun () ->
+                Client.run c ~doc:"small" (`Source "MATCH (h:Head)\nRETURN h\n")))
+      in
+      Thread.join heavy_client;
+      check_bool "heavy RUN timed out" true
+        (match !heavy_answer with
+        | Error m -> contains ~needle:"timeout" m
+        | Ok _ -> false);
+      check "short RUN answered" "h\nHead\nHead\nHead\nHead\n"
+        (match short with Ok (_, body) -> body | Error m -> m);
+      check_bool "short RUN answered promptly" true (short_ms < unbounded_ms /. 2.0))
+
 (* --- protocol framing ----------------------------------------------------- *)
 
 let test_framing_roundtrip () =
@@ -765,6 +935,17 @@ let () =
             test_malformed_programs_yield_err;
           Alcotest.test_case "8 clients x 4 domains determinism" `Quick
             test_concurrent_determinism;
+        ] );
+      ( "cancel",
+        [
+          Alcotest.test_case "MATCH next+ closure" `Quick (check_cancel heavy_match);
+          Alcotest.test_case "XML-GL value join" `Quick (check_cancel heavy_xmlgl);
+          Alcotest.test_case "WG-Log construction" `Quick (check_cancel heavy_wglog);
+          Alcotest.test_case "path closure, cold memo" `Quick (check_cancel heavy_path);
+          Alcotest.test_case "XML-GL join, 2 domains" `Quick
+            (check_cancel ~domains:2 heavy_xmlgl);
+          Alcotest.test_case "1 worker freed for a short RUN" `Quick
+            test_cancel_frees_worker;
         ] );
       ( "cow-fixpoint",
         [
