@@ -419,14 +419,15 @@ let e9 () =
       match e.kind, List.assoc_opt e.workload dbs with
       | `Xmlgl p, Some db ->
         let q = (List.hd (Lazy.force p).Gql_xmlgl.Ast.rules).Gql_xmlgl.Ast.query in
-        let g_ms, hits =
-          timed (fun () ->
-              List.length (Gql_algebra.Exec.run_xmlgl ~strategy:`Greedy db.Gql_core.Gql.graph q))
+        let run ?planner () =
+          List.length (Gql_algebra.Exec.run_xmlgl ?planner db.Gql_core.Gql.graph q)
         in
-        let f_ms, _ =
-          timed (fun () ->
-              List.length (Gql_algebra.Exec.run_xmlgl ~strategy:`Fixed db.Gql_core.Gql.graph q))
+        let declared data (job : Gql_algebra.Planner.job) =
+          let k = Array.length job.Gql_algebra.Planner.pattern.Gql_graph.Homo.p_nodes in
+          Gql_algebra.Planner.build_in_order data job (List.init k Fun.id)
         in
+        let g_ms, hits = timed (fun () -> run ()) in
+        let f_ms, _ = timed (fun () -> run ~planner:declared ()) in
         record ~experiment:"e9"
           [ ("query", J_str e.name); ("size", J_int 400); ("hits", J_int hits);
             ("greedy", J_obj (j_timing g_ms)); ("fixed", J_obj (j_timing f_ms));
@@ -1080,143 +1081,6 @@ let e13v2 () =
        Gql_workload.Queries.q15_src) ]
 
 (* ------------------------------------------------------------------ *)
-(* E15 — planner ablation: cost-based vs greedy vs fixed               *)
-(* ------------------------------------------------------------------ *)
-
-let e15 () =
-  header "E15  planner ablation: cost-based vs greedy vs fixed join order";
-  row
-    "(same MATCH query through the algebra under the three planner\n\
-    \ strategies; each plan is built once and its execution timed —\n\
-    \ the plan-cache deployment model.  Every point checks the row\n\
-    \ counts agree, records the plan's own cost/row estimates and\n\
-    \ whether it contains a cartesian product.  Fixtures are E11's\n\
-    \ 120k-node labelled graph and the E13v2 million-node trio.)\n";
-  row "%-14s  %-8s  %9s  %6s  %10s  %10s  %12s\n" "workload" "strategy" "rows"
-    "cross" "median_ms" "min_ms" "est_cost";
-  let strategies = [ (`Cost, "cost"); (`Greedy, "greedy"); (`Fixed, "fixed") ] in
-  let bench_workload ~name ~data ~idx ~src =
-    let q = Gql_match.Parse.parse src in
-    let c = Gql_match.Compile.compile q in
-    (* The strategy points are compared against each other, and the
-       first evaluations on a fresh fixture run on a cold heap several
-       times slower than steady state — warm the workload globally
-       before measuring any strategy, or measurement order would
-       masquerade as a planner difference. *)
-    for _ = 1 to 6 do
-      ignore
-        (Gql_match.Eval.bindings_algebra ~strategy:`Greedy ~index:idx
-           ~domains:1 data c)
-    done;
-    let planned =
-      List.map
-        (fun (strategy, sname) ->
-          let job = Gql_match.Compile.job ~index:idx c in
-          (sname, job, Gql_algebra.Planner.build ~strategy data job))
-        strategies
-    in
-    let execute (_, job, plan) =
-      List.length
-        (Gql_algebra.Exec.run ?provider:job.Gql_algebra.Planner.provider
-           ~domains:1 data c.Gql_match.Compile.pattern plan)
-    in
-    (* row-count agreement, checked once before timing (and doubling as
-       a per-plan warm-up run) *)
-    let rows = execute (List.hd planned) in
-    List.iter
-      (fun ((sname, _, _) as p) ->
-        let r = execute p in
-        if r <> rows then
-          failwith
-            (Printf.sprintf "E15 %s: %s returned %d rows, expected %d" name
-               sname r rows))
-      (List.tl planned);
-    (* Interleaved rounds rather than [timed] per strategy: the plans
-       often coincide, so any timing gap between strategies on a
-       sequential schedule would be heap drift, not planner quality.
-       Round-robin makes the drift hit every strategy alike. *)
-    let n_plans = List.length planned in
-    let samples = Array.make n_plans [] in
-    let minor = Array.make n_plans 0.0 in
-    let major = Array.make n_plans 0.0 in
-    let repeat = 9 in
-    Gc.compact ();
-    for _round = 1 to repeat do
-      List.iteri
-        (fun i p ->
-          let g0 = Gc.quick_stat () in
-          let t0 = Unix.gettimeofday () in
-          ignore (execute p);
-          let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
-          let g1 = Gc.quick_stat () in
-          samples.(i) <- dt :: samples.(i);
-          minor.(i) <- minor.(i) +. g1.Gc.minor_words -. g0.Gc.minor_words;
-          major.(i) <- major.(i) +. g1.Gc.major_words -. g0.Gc.major_words)
-        planned
-    done;
-    List.iteri
-      (fun i (sname, _, plan) ->
-        let sorted = List.sort compare samples.(i) in
-        let tm =
-          {
-            median_ms = List.nth sorted (repeat / 2);
-            min_ms = List.hd sorted;
-            minor_words = minor.(i) /. float_of_int repeat;
-            major_words = major.(i) /. float_of_int repeat;
-          }
-        in
-        let cross = Gql_algebra.Plan.has_cross plan in
-        let est_rows, est_cost =
-          match Gql_algebra.Plan.root_est plan with
-          | Some e -> (e.Gql_algebra.Plan.est_rows, e.Gql_algebra.Plan.est_cost)
-          | None -> (Float.nan, Float.nan)
-        in
-        record ~experiment:"e15"
-          ([ ("workload", J_str name); ("strategy", J_str sname);
-             ("rows", J_int rows); ("has_cross", J_bool cross);
-             ("plan_est_rows", J_num est_rows);
-             ("plan_est_cost", J_num est_cost) ]
-          @ j_timing tm);
-        row "%-14s  %-8s  %9d  %6s  %10.2f  %10.2f  %12.3g\n" name sname rows
-          (if cross then "yes" else "no")
-          tm.median_ms tm.min_ms est_cost)
-      planned
-  in
-  (* -- E11's 120k-node labelled graph --------------------------------- *)
-  begin
-    let data =
-      Gql_workload.Gen.labelled_graph ~labels:150 ~per_label:400 ~degree:3 ()
-    in
-    let idx = Gql_data.Index.build data in
-    List.iter
-      (fun (name, src) -> bench_workload ~name ~data ~idx ~src)
-      [ ( "e11-point",
-          "MATCH (r:L40)-[:key]->(v)\nWHERE v.value = \"k-16123\"\nRETURN r\n"
-        );
-        ("e11-join", "MATCH (a:L7)-[:rel]->(b:L8)\nRETURN a, b\n");
-        ( "e11-tri",
-          "MATCH (a:L7)-[:rel]->(b:L8)<-[:rel]-(c:L7)\nRETURN a, b, c\n" ) ]
-  end;
-  Gc.compact ();
-  (* -- the E13v2 million-node fixtures -------------------------------- *)
-  List.iter
-    (fun (name, gen, src) ->
-      let data = gen () in
-      let idx = Gql_data.Index.build data in
-      row "%-14s  (%d nodes)\n" name (Gql_data.Graph.n_nodes data);
-      bench_workload ~name ~data ~idx ~src;
-      Gc.compact ())
-    [ ( "wide-1M",
-        (fun () -> Gql_workload.Gen.wide_graph ~seed:(seed 74) ~hubs:1024 1_000_000),
-        "MATCH (h:Hub)-[:rel]->(i:Item)\nRETURN h, i\n" );
-      ( "deep-1M",
-        (fun () -> Gql_workload.Gen.deep_graph ~seed:(seed 75) ~chains:2048 1_000_000),
-        "MATCH (h:Head)-[:next+]->(t:Cell)\nRETURN h, t\n" );
-      ( "skewed-1M",
-        (fun () -> Gql_workload.Gen.skewed_graph ~seed:(seed 76) ~groups:512 1_000_000),
-        "MATCH (g:Group)-[:member]->(m:Member)\nRETURN g, m\n" ) ]
-
-(* ------------------------------------------------------------------ *)
 (* E16 — flat product-automaton path engine                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1621,7 +1485,7 @@ let e17 () =
 let all =
   [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
-    ("e12", e12); ("e13", e13); ("e14", e14); ("e13v2", e13v2); ("e15", e15);
+    ("e12", e12); ("e13", e13); ("e14", e14); ("e13v2", e13v2);
     ("e16", e16); ("e17", e17) ]
 
 let () =
@@ -1655,6 +1519,6 @@ let () =
         match List.assoc_opt (String.lowercase_ascii name) all with
         | Some f -> f ()
         | None ->
-          Printf.eprintf "unknown experiment %s (e1..e17, e13v2, micro)\n" name)
+          Printf.eprintf "unknown experiment %s (e1..e14, e16, e17, e13v2, micro)\n" name)
       names);
   if json then write_json "BENCH_PR10.json"

@@ -1,15 +1,15 @@
-(** The operator cost model (experiment E15).
+(** The operator cost formulas behind EXPLAIN's [rows=… cost=…]
+    columns.
 
-    Every plan operator gets a cost formula over the planner's
-    cardinality estimates; the unit is roughly "nanoseconds on the bench
-    host", but only *ratios* matter for join ordering, so the constants
-    are best read as relative operator weights.
+    Every plan operator gets a formula over the planner's cardinality
+    estimates; the unit is roughly "nanoseconds on the bench host".  The
+    formulas annotate plans only: join order is chosen by the planner's
+    fail-first rule on candidate counts, never by these costs.
 
     Inputs, in the order the planner can obtain them:
 
     - posting cardinalities — [Iset.length] of the index provider's
-      candidate sets (O(1) since PR 5), refined by capped scans when no
-      provider answers;
+      candidate sets, refined by full scans when no provider answers;
     - per-symbol edge fan-out — sampled from the provider's exact navs
       (a nav's posting set *is* the symbol-partitioned adjacency built
       from the CSR planes, so a handful of [Iset.length] probes gives
@@ -29,11 +29,7 @@
     - [Edge_check]: rows *= check_selectivity;
       cost += c_check_{direct,path} * R.
     - [Filter]: rows *= filter_selectivity; cost += c_filter * R.
-    - [Cross]: rows = R_l * R_r; cost += c_cross * R_l * R_r.
-
-    The constants below are fitted from the committed bench trajectory
-    ([BENCH_PR*.json]) by [tools/fit_cost.ml] — see DESIGN.md for the
-    calibration method. *)
+    - [Cross]: rows = R_l * R_r; cost += c_cross * R_l * R_r. *)
 
 type calib = {
   c_scan_indexed : float;  (** per candidate row emitted from a posting set *)
@@ -48,15 +44,13 @@ type calib = {
       (** reachability cap for unsampled paths: avg degree × this *)
 }
 
-(* Fitted by tools/fit_cost.ml from BENCH_PR6.json (1-core CI host):
-   full scan ~73 ns/node tested, indexed emit ~8 ns/row, direct
-   expansion ~940 ns/neighbour and regular paths ~2x that at streaming
-   (million-row) scale — the regime where ordering mistakes actually
-   hurt; cache-resident fixtures run ~50x cheaper per item, a gap the
-   linear model deliberately ignores (see the script header).  Checks,
-   filters and cross are derived as small multiples of the indexed
-   emit; path_hops is the mean chain length of the deep-1M fixture.
-   Ratios are what the planner consumes. *)
+(* Fitted once from the committed bench trajectory (1-core CI host)
+   and frozen since: full scan ~73 ns/node tested,
+   indexed emit ~8 ns/row, direct expansion ~940 ns/neighbour and
+   regular paths ~2x that at streaming (million-row) scale.  Checks,
+   filters and cross are small multiples of the indexed emit; path_hops
+   is the mean chain length of the deep-1M fixture.  They set EXPLAIN's
+   cost column and decide no plan. *)
 let default =
   {
     c_scan_indexed = 8.2;
@@ -79,40 +73,44 @@ let filter_selectivity = 0.5
 
 (* --- formulas --------------------------------------------------------- *)
 
-let scan (c : calib) ~indexed ~n_nodes ~card : Plan.est =
+let scan ~indexed ~n_nodes ~card : Plan.est =
   let rows = float_of_int (max 0 card) in
   let cost =
-    if indexed then c.c_scan_indexed *. rows
-    else c.c_scan_full *. float_of_int (max 1 n_nodes)
+    if indexed then default.c_scan_indexed *. rows
+    else default.c_scan_full *. float_of_int (max 1 n_nodes)
   in
   { Plan.est_rows = rows; est_cost = cost }
 
-let expand (c : calib) ~path ~(input : Plan.est) ~fanout ~dst_sel : Plan.est =
-  let unit = if path then c.c_expand_path else c.c_expand_direct in
+let expand ~path ~(input : Plan.est) ~fanout ~dst_sel : Plan.est =
+  let unit =
+    if path then default.c_expand_path else default.c_expand_direct
+  in
   let enumerated = input.Plan.est_rows *. Float.max 0.0 fanout in
   {
     Plan.est_rows = enumerated *. Float.min 1.0 (Float.max 0.0 dst_sel);
     est_cost = input.Plan.est_cost +. (unit *. enumerated);
   }
 
-let edge_check (c : calib) ~path ~(input : Plan.est) : Plan.est =
-  let unit = if path then c.c_check_path else c.c_check_direct in
+let edge_check ~path ~(input : Plan.est) : Plan.est =
+  let unit = if path then default.c_check_path else default.c_check_direct in
   {
     Plan.est_rows = input.Plan.est_rows *. check_selectivity;
     est_cost = input.Plan.est_cost +. (unit *. input.Plan.est_rows);
   }
 
-let filter (c : calib) ~(input : Plan.est) : Plan.est =
+let filter ~(input : Plan.est) : Plan.est =
   {
     Plan.est_rows = input.Plan.est_rows *. filter_selectivity;
-    est_cost = input.Plan.est_cost +. (c.c_filter *. input.Plan.est_rows);
+    est_cost =
+      input.Plan.est_cost +. (default.c_filter *. input.Plan.est_rows);
   }
 
-let cross (c : calib) ~(left : Plan.est) ~(right : Plan.est) : Plan.est =
+let cross ~(left : Plan.est) ~(right : Plan.est) : Plan.est =
   let rows = left.Plan.est_rows *. right.Plan.est_rows in
   {
     Plan.est_rows = rows;
-    est_cost = left.Plan.est_cost +. right.Plan.est_cost +. (c.c_cross *. rows);
+    est_cost =
+      left.Plan.est_cost +. right.Plan.est_cost +. (default.c_cross *. rows);
   }
 
 (** Reachability cap for a regular-path edge whose fan-out cannot be
@@ -122,7 +120,7 @@ let cross (c : calib) ~(left : Plan.est) ~(right : Plan.est) : Plan.est =
     expression like [a b?] reaches at most [avg_degree ^ depth] nodes,
     which is far below the starred-expression cap [avg_degree *
     path_hops] that the old sampled estimate charged indiscriminately. *)
-let path_fanout (c : calib) ~n_nodes ~avg_degree ~(depth_bound : int option) :
+let path_fanout ~n_nodes ~avg_degree ~(depth_bound : int option) :
     float =
   let n = float_of_int (max 1 n_nodes) in
   match depth_bound with
@@ -130,4 +128,4 @@ let path_fanout (c : calib) ~n_nodes ~avg_degree ~(depth_bound : int option) :
   | Some d ->
     let d = float_of_int (min d 32) in
     Float.min n (Float.max 1.0 (Float.max 1.0 avg_degree ** d))
-  | None -> Float.min n (Float.max 1.0 avg_degree *. c.path_hops)
+  | None -> Float.min n (Float.max 1.0 avg_degree *. default.path_hops)

@@ -5,7 +5,7 @@
     pattern an explicit *plan* — the operator tree a database engine
     would show in EXPLAIN — so that planning decisions (join order,
     predicate pushdown) become visible, testable and benchable
-    (experiments E7/E9/E15).
+    (experiments E7/E9).
 
     A plan computes a set of bindings: arrays indexed by pattern node.
     Each operator carries an optional {!est} annotation — the planner's
@@ -64,14 +64,6 @@ let rec vars = function
   | Edge_check { input; _ } | Filter { input; _ } -> vars input
   | Cross { left; right; _ } -> vars left @ vars right
 
-let est = function
-  | Scan { est; _ }
-  | Expand { est; _ }
-  | Edge_check { est; _ }
-  | Cross { est; _ }
-  | Filter { est; _ } ->
-    est
-
 let set_est p e =
   match p with
   | Scan r -> r.est <- Some e
@@ -79,9 +71,6 @@ let set_est p e =
   | Edge_check r -> r.est <- Some e
   | Cross r -> r.est <- Some e
   | Filter r -> r.est <- Some e
-
-(** The root annotation: estimated result rows and total plan cost. *)
-let root_est = est
 
 (* Compact deterministic number rendering for annotations: integers
    plain, small fractions with two decimals, big values in %.3g — the
@@ -139,8 +128,8 @@ let rec size = function
     1 + size input
   | Cross { left; right; _ } -> 1 + size left + size right
 
-(** Does the plan contain a cartesian product anywhere?  The E15 bench
-    and the sentinel-overflow regression test assert on this. *)
+(** Does the plan contain a cartesian product anywhere?  The
+    sentinel-overflow regression test asserts on this. *)
 let rec has_cross = function
   | Scan _ -> false
   | Expand { input; _ } | Edge_check { input; _ } | Filter { input; _ } ->

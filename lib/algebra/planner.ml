@@ -1,23 +1,14 @@
 (** The planner: pattern -> plan.
 
-    Three strategies, ablated by experiments E9 and E15:
-
-    - [`Cost]: per-operator cost formulas ({!Cost}) over posting
-      cardinalities and sampled edge fan-outs.  Each connected component
-      of the pattern is ordered by dynamic programming over its
-      connected subsets (left-deep, up to {!dp_max_nodes} nodes);
-      larger components fall back to cost-greedy with one-step
-      lookahead.  Components are stitched with [Cross] in increasing
-      row-estimate order.
-    - [`Greedy] (the default): start each connected component at its
-      most selective node and always extend with the already-connected
-      node that has the smallest candidate estimate — the classical
-      fail-first heuristic.  Connectivity is compared lexicographically
-      *before* the estimate, so a connected node can never lose to an
-      unconnected one no matter how many candidates it has.
-    - [`Fixed]: bind pattern nodes in declaration order, connecting them
-      to whatever is already bound.  This is what a naive reading of the
-      visual graph gives and is the "optimiser off" baseline.
+    One join-order strategy, the classical fail-first heuristic: start
+    each connected component at its most selective node and always
+    extend with the already-connected node that has the smallest
+    candidate estimate.  Connectivity is compared lexicographically
+    *before* the estimate, so a connected node can never lose to an
+    unconnected one no matter how many candidates it has; components
+    are stitched with [Cross].  {!build_in_order} binds nodes in a
+    caller-given order instead — the reference the differential tests
+    and the E9 ablation compare against.
 
     When several positive edges connect the next node to the bound
     region, the cheapest one (Direct before Path) carries the [Expand]
@@ -26,13 +17,12 @@
     Residual filters (value joins, ordered-content checks, negations
     whose endpoints are never adjacent in the traversal, cross-node
     predicates) are appended on top.  Every built plan is annotated
-    with {!Plan.est} rows/cost estimates, whatever the strategy. *)
+    with {!Plan.est} rows/cost estimates from the {!Cost} formulas;
+    they are for EXPLAIN only and decide nothing. *)
 
 open Gql_data
 module H = Gql_graph.Homo
 module Iset = Gql_graph.Iset
-
-type strategy = [ `Greedy | `Fixed | `Cost ]
 
 type residual = { r_name : string; r_pred : Graph.t -> int array -> bool }
 
@@ -117,22 +107,16 @@ let make_estimates ?(provider : (Graph.node_kind, Graph.edge) H.provider option)
   in
   (counts, exact, refine)
 
-(** [(count, exact)] per pattern node — capped scan counts are lower
-    bounds flagged inexact. *)
-let estimates ?provider data pat : (int * bool) array =
-  let counts, exact, _ = make_estimates ?provider data pat in
-  Array.map2 (fun c e -> (c, e)) counts exact
-
-(* One planned bind step: the node to bind and, when it connects to the
-   already-bound region, the pos_arr index of the edge carrying the
-   Expand ([None] starts a component: Scan, crossed in after the first). *)
-type pick = { pk_var : int; pk_edge : int option }
-
-let build ?(strategy : strategy = `Greedy) ?(calib = Cost.default)
-    (data : Graph.t) (job : job) : Plan.t =
+(* Plan [job], binding pattern nodes one at a time: [order] fixes the
+   sequence, [None] chooses fail-first. *)
+let plan_with ~(order : int list option) (data : Graph.t) (job : job) : Plan.t =
   let pat = job.pattern in
   let k = Array.length pat.H.p_nodes in
   if k = 0 then invalid_arg "empty pattern";
+  (match order with
+  | Some vs when List.sort compare vs <> List.init k Fun.id ->
+    invalid_arg "Planner.build_in_order: not a permutation of the pattern nodes"
+  | _ -> ());
   let counts, exact, refine = make_estimates ?provider:job.provider data pat in
   let cands_of v =
     match job.provider with
@@ -159,141 +143,11 @@ let build ?(strategy : strategy = `Greedy) ?(calib = Cost.default)
   in
   let pos_arr = Array.of_list pos_edges in
   let ne = Array.length pos_arr in
-  let n_data = Graph.n_nodes data in
-  let avg_degree =
-    float_of_int (Graph.n_edges data) /. float_of_int (max 1 n_data)
-  in
-  (* --- cost-model inputs ------------------------------------------- *)
-  (* Destination-predicate selectivity of binding node [v]. *)
-  let sel v =
-    if n_data = 0 then 0.0
-    else Float.min 1.0 (float_of_int counts.(v) /. float_of_int n_data)
-  in
-  (* Mean fan-out of a nav in [dir], sampled over (up to 4 of) the
-     source node's candidates.  An exact nav's posting sets are the
-     symbol-partitioned adjacency, so the sample is the per-symbol
-     degree summary the cost model wants. *)
-  let sample_nav (nav : H.nav option) (dir : Plan.edge_dir) ~src_var =
-    match nav with
-    | Some n when n.H.nav_exact -> (
-      let enum =
-        match dir with
-        | Plan.Forward -> n.H.nav_out
-        | Plan.Backward -> n.H.nav_in
-      in
-      match enum, cands_of src_var with
-      | Some f, Some cs when Iset.length cs > 0 ->
-        let len = Iset.length cs in
-        let samples = min 4 len in
-        let tot = ref 0 in
-        for s = 0 to samples - 1 do
-          tot := !tot + Iset.length (f (Iset.get cs (s * len / samples)))
-        done;
-        Some (float_of_int !tot /. float_of_int samples)
-      | _ -> None)
-    | Some _ | None -> None
-  in
-  let fanout_fallback cons =
-    match cons with
-    | H.Path rp ->
-      Cost.path_fanout calib ~n_nodes:n_data ~avg_degree
-        ~depth_bound:(Gql_graph.Regpath.depth_bound rp)
-    | H.Direct _ | H.Negated _ -> Float.max 1.0 avg_degree
-  in
-  let fanout_nav nav dir ~src_var ~cons =
-    match sample_nav nav dir ~src_var with
-    | Some f -> f
-    | None -> fanout_fallback cons
-  in
-  let fan_memo : (int * Plan.edge_dir, float) Hashtbl.t = Hashtbl.create 16 in
-  (* Fan-out of pos edge [i] traversed in [dir] (Forward: src -> dst). *)
-  let fanout_of i dir =
-    match Hashtbl.find_opt fan_memo (i, dir) with
-    | Some f -> f
-    | None ->
-      let ei, (a, c, b) = pos_arr.(i) in
-      let src_var = match dir with Plan.Forward -> a | Plan.Backward -> b in
-      let f = fanout_nav (nav_of ei) dir ~src_var ~cons:c in
-      Hashtbl.replace fan_memo (i, dir) f;
-      f
-  in
-  let scan_est v =
-    Cost.scan calib ~indexed:(cands_of v <> None) ~n_nodes:n_data ~card:counts.(v)
-  in
-  (* Expand estimate with a totality cap on direct edges: R sources
-     cannot enumerate more than max(R, |edges|) neighbours, whatever the
-     sampled fan-out claims — the sample is degree-biased on skewed
-     graphs (evenly-spaced candidates can all be hubs), and without the
-     cap a forward expansion over a skewed symbol looks arbitrarily
-     worse than reality.  Regular paths may legitimately revisit, so
-     they keep the raw sample. *)
-  let expand_est ~path ~(input : Plan.est) ~fanout ~dst_sel =
-    let fanout =
-      if path then fanout
-      else
-        let cap =
-          Float.max 1.0
-            (float_of_int (Graph.n_edges data)
-            /. Float.max 1.0 input.Plan.est_rows)
-        in
-        Float.min fanout cap
-    in
-    Cost.expand calib ~path ~input ~fanout ~dst_sel
-  in
-  (* Self-loop pos edges on [v] become checks the moment [v] binds. *)
-  let self_checks v est0 =
-    Array.fold_left
-      (fun acc (_, (a, c, b)) ->
-        if a = v && b = v then Cost.edge_check calib ~path:(is_path c) ~input:acc
-        else acc)
-      est0 pos_arr
-  in
-  (* Cost of binding [v] next given the bound region [in_mask] and the
-     running estimate [cur]: pick the cheapest connecting edge for the
-     Expand, demote the other connecting edges (and self-loops) to
-     checks.  [None] when nothing connects. *)
-  let extend_est (cur : Plan.est) (in_mask : int -> bool) v :
-      (int * Plan.est) option =
-    let conn = ref [] in
-    for i = ne - 1 downto 0 do
-      let _, (a, c, b) = pos_arr.(i) in
-      if a = v && b = v then ()
-      else if in_mask a && b = v then conn := (i, c, Plan.Forward) :: !conn
-      else if in_mask b && a = v then conn := (i, c, Plan.Backward) :: !conn
-    done;
-    match !conn with
-    | [] -> None
-    | cands ->
-      let try_edge (i, c, dir) =
-        let e =
-          expand_est ~path:(is_path c) ~input:cur ~fanout:(fanout_of i dir)
-            ~dst_sel:(sel v)
-        in
-        let e =
-          List.fold_left
-            (fun acc (j, c', _) ->
-              if j = i then acc
-              else Cost.edge_check calib ~path:(is_path c') ~input:acc)
-            e cands
-        in
-        (i, self_checks v e)
-      in
-      let best =
-        List.fold_left
-          (fun acc cand ->
-            let _, e = try_edge cand in
-            match acc with
-            | Some (_, be) when be.Plan.est_cost <= e.Plan.est_cost -> acc
-            | _ -> Some (try_edge cand))
-          None cands
-      in
-      best
-  in
-  (* --- heuristic orders (Greedy / Fixed) ---------------------------- *)
+  let bound = Array.make k false and used = Array.make ne false in
   (* Cheapest unused edge connecting the bound region to [v]: Direct
      preferred over Path, ties by declaration order; the others stay for
-     pending_checks. *)
-  let choose_edge bound used v =
+     the checks emitted once both endpoints are bound. *)
+  let choose_edge v =
     let best = ref None in
     Array.iteri
       (fun i (_, (a, c, b)) ->
@@ -306,25 +160,10 @@ let build ?(strategy : strategy = `Greedy) ?(calib = Cost.default)
           | Some (_, r) when r <= cons_rank c -> ()
           | _ -> best := Some (i, cons_rank c))
       pos_arr;
-    match !best with
-    | None -> None
-    | Some (i, _) ->
-      used.(i) <- true;
-      Some i
+    Option.map fst !best
   in
-  (* After binding, edges whose endpoints are now both bound are
-     consumed (the assembler emits them as checks at the same point). *)
-  let consume_pending bound used =
-    Array.iteri
-      (fun i (_, (a, _, b)) ->
-        if (not used.(i)) && bound.(a) && bound.(b) then used.(i) <- true)
-      pos_arr
-  in
-  (* Greedy next choice: (connectivity, estimate) compared
-     lexicographically — a connected node always beats an unconnected
-     one, however large its candidate count (the old additive sentinel
-     overflowed exactly there).  Capped counts are refined before they
-     can decide a winner. *)
+  (* Fail-first choice among [cands]: the smallest candidate count wins.
+     Capped counts are refined before they can decide a winner. *)
   let pick_min cands =
     match cands with
     | [] -> None
@@ -349,7 +188,10 @@ let build ?(strategy : strategy = `Greedy) ?(calib = Cost.default)
       in
       go ()
   in
-  let greedy_pick bound =
+  (* (connectivity, estimate) compared lexicographically: a connected
+     node always beats an unconnected one, however large its candidate
+     count. *)
+  let fail_first () =
     let connected v =
       Array.exists
         (fun (_, (a, _, b)) -> (bound.(a) && b = v) || (bound.(b) && a = v))
@@ -364,212 +206,14 @@ let build ?(strategy : strategy = `Greedy) ?(calib = Cost.default)
     | Some v -> Some v
     | None -> pick_min (unbound false)
   in
-  let heuristic_order next =
-    let bound = Array.make k false and used = Array.make ne false in
-    let picks = ref [] in
-    let rec loop () =
-      match next bound with
-      | None -> ()
-      | Some v ->
-        let e = choose_edge bound used v in
-        bound.(v) <- true;
-        consume_pending bound used;
-        picks := { pk_var = v; pk_edge = e } :: !picks;
-        loop ()
-    in
-    loop ();
-    List.rev !picks
-  in
-  let fixed_pick bound =
-    let rec first i =
-      if i >= k then None else if bound.(i) then first (i + 1) else Some i
-    in
-    first 0
-  in
-  (* --- cost-based order --------------------------------------------- *)
-  let dp_max_nodes = 10 in
-  let components () =
-    let comp = Array.make k (-1) in
-    let n_comp = ref 0 in
-    for v = 0 to k - 1 do
-      if comp.(v) < 0 then begin
-        let id = !n_comp in
-        incr n_comp;
-        let queue = Queue.create () in
-        Queue.add v queue;
-        comp.(v) <- id;
-        while not (Queue.is_empty queue) do
-          let u = Queue.pop queue in
-          Array.iter
-            (fun (_, (a, _, b)) ->
-              let link x y =
-                if x = u && comp.(y) < 0 then begin
-                  comp.(y) <- id;
-                  Queue.add y queue
-                end
-              in
-              link a b;
-              link b a)
-            pos_arr
-        done
-      end
-    done;
-    List.init !n_comp (fun id ->
-        List.filter (fun v -> comp.(v) = id) (List.init k Fun.id))
-  in
-  (* Exact left-deep join order of one connected component: DP over its
-     connected subsets (<= 2^dp_max_nodes states). *)
-  let dp_order comp : pick list * Plan.est =
-    let m = List.length comp in
-    let vs = Array.of_list comp in
-    let bit = Hashtbl.create m in
-    Array.iteri (fun j v -> Hashtbl.replace bit v j) vs;
-    let size = 1 lsl m in
-    let best : Plan.est option array = Array.make size None in
-    let choice = Array.make size (-1, -1, None) in
-    for j = 0 to m - 1 do
-      let mask = 1 lsl j in
-      best.(mask) <- Some (self_checks vs.(j) (scan_est vs.(j)));
-      choice.(mask) <- (0, vs.(j), None)
-    done;
-    for mask = 1 to size - 1 do
-      match best.(mask) with
-      | None -> ()
-      | Some cur ->
-        let in_mask v =
-          match Hashtbl.find_opt bit v with
-          | Some j -> mask land (1 lsl j) <> 0
-          | None -> false
-        in
-        for j = 0 to m - 1 do
-          if mask land (1 lsl j) = 0 then begin
-            match extend_est cur in_mask vs.(j) with
-            | None -> ()
-            | Some (edge, e) ->
-              let mask' = mask lor (1 lsl j) in
-              let better =
-                match best.(mask') with
-                | None -> true
-                | Some old -> e.Plan.est_cost < old.Plan.est_cost
-              in
-              if better then begin
-                best.(mask') <- Some e;
-                choice.(mask') <- (mask, vs.(j), Some edge)
-              end
-            end
-        done
-    done;
-    let full = size - 1 in
-    let rec unwind mask acc =
-      let prev, v, edge = choice.(mask) in
-      let acc = { pk_var = v; pk_edge = edge } :: acc in
-      if prev = 0 then acc else unwind prev acc
-    in
-    (unwind full [], Option.get best.(full))
-  in
-  (* Above the DP bound: cost-greedy with one-step lookahead — charge
-     each candidate its own cost plus the cheapest immediate follow-up,
-     so a cheap step that forces an expensive successor loses to a
-     slightly dearer step with cheap continuations. *)
-  let lookahead_order comp : pick list * Plan.est =
-    let in_set = Array.make k false in
-    let member = Array.make k false in
-    List.iter (fun v -> member.(v) <- true) comp;
-    let start =
-      List.iter refine comp;
-      List.fold_left
-        (fun acc v ->
-          match acc with
-          | Some b when counts.(b) <= counts.(v) -> acc
-          | _ -> Some v)
-        None comp
-      |> Option.get
-    in
-    in_set.(start) <- true;
-    let cur = ref (self_checks start (scan_est start)) in
-    let picks = ref [ { pk_var = start; pk_edge = None } ] in
-    let remaining = ref (List.length comp - 1) in
-    while !remaining > 0 do
-      let bound_now v = in_set.(v) in
-      let cands =
-        List.filter_map
-          (fun v ->
-            if in_set.(v) then None
-            else
-              match extend_est !cur bound_now v with
-              | None -> None
-              | Some (edge, e) -> Some (v, edge, e))
-          comp
-      in
-      let scored =
-        List.map
-          (fun (v, edge, e) ->
-            let after w = in_set.(w) || w = v in
-            let look =
-              List.fold_left
-                (fun acc w ->
-                  if member.(w) && (not in_set.(w)) && w <> v then
-                    match extend_est e after w with
-                    | Some (_, e') ->
-                      let inc = e'.Plan.est_cost -. e.Plan.est_cost in
-                      Float.min acc inc
-                    | None -> acc
-                  else acc)
-                infinity comp
-            in
-            let look = if look = infinity then 0.0 else look in
-            (v, edge, e, e.Plan.est_cost +. look))
-          cands
-      in
-      let v, edge, e, _ =
-        List.fold_left
-          (fun acc ((_, _, _, s) as cand) ->
-            match acc with
-            | Some (_, _, _, bs) when bs <= s -> acc
-            | _ -> Some cand)
-          None scored
-        |> Option.get
-      in
-      in_set.(v) <- true;
-      cur := e;
-      decr remaining;
-      picks := { pk_var = v; pk_edge = Some edge } :: !picks
-    done;
-    (List.rev !picks, !cur)
-  in
-  let cost_order () =
-    (* The DP compares scan estimates across all nodes of a component,
-       so every count must be real — capped lower bounds would repeat
-       the greedy planner's old tie-breaking bug at the DP level.  The
-       plan cache amortises these scans across serve traffic. *)
-    for v = 0 to k - 1 do
-      refine v
-    done;
-    let comps =
-      List.map
-        (fun comp ->
-          if List.length comp <= dp_max_nodes then dp_order comp
-          else lookahead_order comp)
-        (components ())
-    in
-    (* Cross components in increasing row-estimate order: the small side
-       drives, keeping intermediate products minimal. *)
-    let comps =
-      List.stable_sort
-        (fun (_, a) (_, b) -> Float.compare a.Plan.est_rows b.Plan.est_rows)
-        comps
-    in
-    List.concat_map fst comps
-  in
-  let picks =
-    match strategy with
-    | `Fixed -> heuristic_order fixed_pick
-    | `Greedy -> heuristic_order greedy_pick
-    | `Cost -> cost_order ()
+  let next () =
+    match order with
+    | None -> fail_first ()
+    | Some vs -> List.find_opt (fun v -> not bound.(v)) vs
   in
   (* --- assembly ------------------------------------------------------ *)
   let label_of v = Printf.sprintf "node%d" v in
-  let bound = Array.make k false and used = Array.make ne false in
+  (* Edges whose endpoints are now both bound become checks right here. *)
   let emit_checks plan =
     let acc = ref plan in
     Array.iteri
@@ -584,39 +228,29 @@ let build ?(strategy : strategy = `Greedy) ?(calib = Cost.default)
       pos_arr;
     !acc
   in
-  let bind_step plan { pk_var = v; pk_edge } =
-    let plan =
-      match pk_edge with
-      | Some i ->
-        used.(i) <- true;
-        let ei, (a, c, b) = pos_arr.(i) in
-        let src, dst, dir =
-          if bound.(a) && b = v then (a, v, Plan.Forward)
-          else (b, v, Plan.Backward)
-        in
-        bound.(v) <- true;
-        Plan.Expand
-          { input = plan; src; dst; dir; cons = c; nav = nav_of ei;
-            label = cons_label c; est = None }
-      | None ->
-        bound.(v) <- true;
-        Plan.Cross
-          { left = plan;
-            right = Plan.Scan { var = v; label = label_of v; est = None };
-            est = None }
-    in
-    emit_checks plan
-  in
-  let plan =
-    match picks with
-    | [] -> invalid_arg "empty pattern"
-    | { pk_var = v0; pk_edge = _ } :: rest ->
-      bound.(v0) <- true;
-      let start =
-        emit_checks (Plan.Scan { var = v0; label = label_of v0; est = None })
+  let rec bind_all plan =
+    match next () with
+    | None -> plan
+    | Some v ->
+      let scan = Plan.Scan { var = v; label = label_of v; est = None } in
+      let step =
+        match plan, choose_edge v with
+        | None, _ -> scan
+        | Some input, Some i ->
+          used.(i) <- true;
+          let ei, (a, c, b) = pos_arr.(i) in
+          let src, dir =
+            if bound.(a) && b = v then (a, Plan.Forward) else (b, Plan.Backward)
+          in
+          Plan.Expand
+            { input; src; dst = v; dir; cons = c; nav = nav_of ei;
+              label = cons_label c; est = None }
+        | Some left, None -> Plan.Cross { left; right = scan; est = None }
       in
-      List.fold_left bind_step start rest
+      bound.(v) <- true;
+      bind_all (Some (emit_checks step))
   in
+  let plan = Option.get (bind_all None) in
   (* Negated edges as filters. *)
   let plan =
     List.fold_left
@@ -634,31 +268,108 @@ let build ?(strategy : strategy = `Greedy) ?(calib = Cost.default)
       plan job.residuals
   in
   (* --- annotation ---------------------------------------------------- *)
-  (* Rows/cost estimates for EXPLAIN, computed with the same formulas
-     whatever strategy shaped the plan (so E15 can compare the model's
-     opinion of each).  Scan cards are refined first: a capped count is
-     good enough to order joins but would lie in the output. *)
+  (* Rows/cost estimates for EXPLAIN.  Every count is refined before it
+     is read: a capped count is good enough to order joins but would lie
+     in the output. *)
+  let n_data = Graph.n_nodes data in
+  let avg_degree =
+    float_of_int (Graph.n_edges data) /. float_of_int (max 1 n_data)
+  in
+  (* Destination-predicate selectivity of binding node [v]. *)
+  let sel v =
+    refine v;
+    if n_data = 0 then 0.0
+    else Float.min 1.0 (float_of_int counts.(v) /. float_of_int n_data)
+  in
+  (* Mean fan-out of a nav in [dir], sampled over (up to 4 of) the
+     source node's candidates.  An exact nav's posting sets are the
+     symbol-partitioned adjacency, so the sample is the per-symbol
+     degree summary the cost formulas want. *)
+  let sample_nav (nav : H.nav option) (dir : Plan.edge_dir) ~src_var =
+    match nav with
+    | Some n when n.H.nav_exact -> (
+      let enum =
+        match dir with
+        | Plan.Forward -> n.H.nav_out
+        | Plan.Backward -> n.H.nav_in
+      in
+      match enum, cands_of src_var with
+      | Some f, Some cs when Iset.length cs > 0 ->
+        let len = Iset.length cs in
+        let samples = min 4 len in
+        let tot = ref 0 in
+        for s = 0 to samples - 1 do
+          tot := !tot + Iset.length (f (Iset.get cs (s * len / samples)))
+        done;
+        Some (float_of_int !tot /. float_of_int samples)
+      | _ -> None)
+    | Some _ | None -> None
+  in
+  let fanout_nav nav dir ~src_var ~cons =
+    match sample_nav nav dir ~src_var, cons with
+    | Some f, _ -> f
+    | None, H.Path rp ->
+      Cost.path_fanout ~n_nodes:n_data ~avg_degree
+        ~depth_bound:(Gql_graph.Regpath.depth_bound rp)
+    | None, (H.Direct _ | H.Negated _) -> Float.max 1.0 avg_degree
+  in
+  (* Expand estimate with a totality cap on direct edges: R sources
+     cannot enumerate more than max(R, |edges|) neighbours, whatever the
+     sampled fan-out claims — the sample is degree-biased on skewed
+     graphs (evenly-spaced candidates can all be hubs).  Regular paths
+     may legitimately revisit, so they keep the raw sample. *)
+  let expand_est ~path ~(input : Plan.est) ~fanout ~dst_sel =
+    let fanout =
+      if path then fanout
+      else
+        let cap =
+          Float.max 1.0
+            (float_of_int (Graph.n_edges data)
+            /. Float.max 1.0 input.Plan.est_rows)
+        in
+        Float.min fanout cap
+    in
+    Cost.expand ~path ~input ~fanout ~dst_sel
+  in
   let rec annotate (p : Plan.t) : Plan.est =
     let e =
       match p with
       | Plan.Scan { var; _ } ->
         refine var;
-        scan_est var
+        Cost.scan ~indexed:(cands_of var <> None) ~n_nodes:n_data
+          ~card:counts.(var)
       | Plan.Expand { input; src; dir; dst; cons; nav; _ } ->
         let input = annotate input in
         let fanout = fanout_nav nav dir ~src_var:src ~cons in
         expand_est ~path:(is_path cons) ~input ~fanout ~dst_sel:(sel dst)
       | Plan.Edge_check { input; cons; _ } ->
-        Cost.edge_check calib ~path:(is_path cons) ~input:(annotate input)
+        Cost.edge_check ~path:(is_path cons) ~input:(annotate input)
       | Plan.Cross { left; right; _ } ->
-        Cost.cross calib ~left:(annotate left) ~right:(annotate right)
-      | Plan.Filter { input; _ } -> Cost.filter calib ~input:(annotate input)
+        Cost.cross ~left:(annotate left) ~right:(annotate right)
+      | Plan.Filter { input; _ } -> Cost.filter ~input:(annotate input)
     in
     Plan.set_est p e;
     e
   in
   ignore (annotate plan);
   plan
+
+(** Plan a job with the fail-first order.  [strategy] is ignored: it
+    exists only so the served-traffic benchmark's traced replay
+    ([benchmark/replay.ml]) keeps compiling, and it goes when that
+    replay is rebuilt on the server's own request path.  Nothing else
+    may pass it. *)
+let build ?strategy:(_ : [ `Cost ] option) (data : Graph.t) (job : job) : Plan.t =
+  plan_with ~order:None data job
+
+(** Plan a job binding its nodes in [order], a permutation of the
+    pattern's node indices; each node expands through the cheapest edge
+    to the already-bound region, as in {!build}.  Declaration order
+    ([List.init k Fun.id]) is the naive reading of the visual graph —
+    the "optimiser off" baseline.  @raise Invalid_argument if [order]
+    is not a permutation. *)
+let build_in_order (data : Graph.t) (job : job) (order : int list) : Plan.t =
+  plan_with ~order:(Some order) data job
 
 (** Job construction from a compiled XML-GL query: the pattern plus its
     post-filters packaged as residuals; [index] attaches the frozen

@@ -81,13 +81,9 @@ val xmlgl_bindings :
   db -> Gql_xmlgl.Ast.program -> Gql_xmlgl.Matching.binding list
 (** Bindings of the first rule's query part (inspection / testing). *)
 
-val explain_xmlgl :
-  ?strategy:Gql_algebra.Planner.strategy ->
-  db ->
-  Gql_xmlgl.Ast.program ->
-  string
-(** EXPLAIN: the physical plan the algebra executes for the first rule,
-    cost-annotated ([`Cost] by default). *)
+val explain_xmlgl : db -> Gql_xmlgl.Ast.program -> string
+(** EXPLAIN: the physical plan the algebra executes for the first rule
+    (fail-first join order), annotated with estimated rows and cost. *)
 
 (** {1 WG-Log} *)
 
@@ -117,13 +113,9 @@ val wglog_goal : db -> Gql_wglog.Ast.rule -> int array list
 (** Evaluate a pure query rule; returns its embeddings without deriving
     anything. *)
 
-val explain_wglog :
-  ?strategy:Gql_algebra.Planner.strategy ->
-  db ->
-  Gql_wglog.Ast.program ->
-  string
+val explain_wglog : db -> Gql_wglog.Ast.program -> string
 (** EXPLAIN for the first rule's query part via the algebra route,
-    cost-annotated ([`Cost] by default).  The fixpoint evaluator itself
+    annotated with estimated rows and cost.  The fixpoint evaluator itself
     stays non-algebraic; this shows the join order of one rule. *)
 
 (** {1 MATCH — the textual GPML-style front-end} *)
@@ -134,7 +126,7 @@ val parse_match : string -> Gql_match.Ast.query
     input. *)
 
 val run_match : ?domains:int -> db -> Gql_match.Ast.query -> string * int
-(** Evaluate through the algebra (greedy plan, index provider): returns
+(** Evaluate through the algebra (fail-first plan, index provider): returns
     the canonical result body — header line plus sorted binding rows,
     tab-separated — and the row count.  @raise Error on compile errors
     (unknown variables etc.). *)
@@ -144,10 +136,9 @@ val run_match_text : ?domains:int -> db -> string -> string * int
 val match_bindings : db -> Gql_match.Ast.query -> int array list
 (** Raw embeddings via the direct matcher (inspection / testing). *)
 
-val explain_match :
-  ?strategy:Gql_algebra.Planner.strategy -> db -> Gql_match.Ast.query -> string
-(** EXPLAIN: the physical plan the algebra would execute,
-    cost-annotated ([`Cost] by default). *)
+val explain_match : db -> Gql_match.Ast.query -> string
+(** EXPLAIN: the physical plan the algebra would execute, annotated
+    with estimated rows and cost. *)
 
 (** {1 The navigational baseline} *)
 

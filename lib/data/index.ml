@@ -562,11 +562,6 @@ let path_spec t rp : Rp.spec =
           Hashtbl.replace t.path_specs uid s);
     s
 
-(* The memo can only trade memory for time — disabling it (debugging,
-   memory ceilings) must not change any result. *)
-let path_memo_enabled =
-  match Sys.getenv_opt "GQL_PATH_MEMO" with Some "0" -> false | _ -> true
-
 let path_run t rp ~(rev : bool) n : Iset.t =
   let hint = Rp.plane_hint rp in
   if hint = 0 then
@@ -582,32 +577,21 @@ let path_run t rp ~(rev : bool) n : Iset.t =
    (both sides produce the same set) and path searches are far too slow
    to serialise across worker domains. *)
 let path_cached t rp ~(rev : bool) n : Iset.t =
-  if not path_memo_enabled then path_run t rp ~rev n
-  else begin
-    let key = (Rp.uid rp, (if rev then 1 else 0), n) in
-    match with_lock t.path_lock (fun () -> Hashtbl.find_opt t.path_memo key) with
-    | Some s ->
-      Rp.note_memo_hit ();
-      s
-    | None ->
-      Rp.note_memo_miss ();
-      let s = path_run t rp ~rev n in
-      with_lock t.path_lock (fun () ->
-          if not (Hashtbl.mem t.path_memo key) then
-            Hashtbl.replace t.path_memo key s);
-      s
-  end
+  let key = (Rp.uid rp, (if rev then 1 else 0), n) in
+  match with_lock t.path_lock (fun () -> Hashtbl.find_opt t.path_memo key) with
+  | Some s ->
+    Rp.note_memo_hit ();
+    s
+  | None ->
+    Rp.note_memo_miss ();
+    let s = path_run t rp ~rev n in
+    with_lock t.path_lock (fun () ->
+        if not (Hashtbl.mem t.path_memo key) then
+          Hashtbl.replace t.path_memo key s);
+    s
 
 let path_connects t rp ~src ~dst : bool =
-  if path_memo_enabled then Iset.mem (path_cached t rp ~rev:false src) dst
-  else
-    (* no memo to reuse or fill: take the early-exit search *)
-    let hint = Rp.plane_hint rp in
-    if hint = 0 then Rp.connects_frozen rp t.csr ~src ~dst
-    else
-      let spec = path_spec t rp in
-      let out_p, _ = plane t hint in
-      Rp.connects_plane rp spec t.csr ~plane:out_p ~src ~dst
+  Iset.mem (path_cached t rp ~rev:false src) dst
 
 (** Per-source reachable sets resolved in one scratch sweep, filling the
     memo as a side effect.  Sources already memoised are served from the

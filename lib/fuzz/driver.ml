@@ -82,7 +82,9 @@ let checks_for ~(transport : (Oracle.transport * Server.t) option)
       | Oracle.Engine_vs_algebra ->
         [ { oracle; xml = c.Casegen.xml; source = c.Casegen.xmlgl_src;
             parses = prog_parses;
-            rerun = (fun ~xml ~source -> Oracle.engine_vs_algebra ~xml ~source) } ]
+            rerun =
+              (fun ~xml ~source ->
+                Oracle.engine_vs_algebra ~seed:c.Casegen.seed ~xml ~source) } ]
       | Oracle.Digraph_vs_csr ->
         [ { oracle; xml = ""; source = c.Casegen.regex_src;
             parses = regex_parses;
@@ -118,7 +120,7 @@ let checks_for ~(transport : (Oracle.transport * Server.t) option)
             rerun =
               (fun ~xml ~source ->
                 Oracle.match_vs_algebra (Option.map fst transport)
-                  ~doc_name:(fresh_doc ())
+                  ~seed:c.Casegen.seed ~doc_name:(fresh_doc ())
                   ~xml ~source) } ]
       | Oracle.Loaded_vs_frozen ->
         (* one save/load round-trip per source language: the MATCH leg
@@ -126,7 +128,9 @@ let checks_for ~(transport : (Oracle.transport * Server.t) option)
         List.map
           (fun source ->
             { oracle; xml = c.Casegen.xml; source; parses = prog_parses;
-              rerun = (fun ~xml ~source -> Oracle.loaded_vs_frozen ~xml ~source) })
+              rerun =
+                (fun ~xml ~source ->
+                  Oracle.loaded_vs_frozen ~seed:c.Casegen.seed ~xml ~source) })
           [ c.Casegen.xmlgl_src; c.Casegen.wglog_src; c.Casegen.match_src ]
       )
     oracles
@@ -228,7 +232,8 @@ let replay (r : Corpus.repro) : Oracle.verdict =
   | Some Oracle.Scan_vs_index ->
     guard (fun () -> Oracle.scan_vs_index ~xml:r.xml ~source:r.source)
   | Some Oracle.Engine_vs_algebra ->
-    guard (fun () -> Oracle.engine_vs_algebra ~xml:r.xml ~source:r.source)
+    guard (fun () ->
+        Oracle.engine_vs_algebra ~seed:r.seed ~xml:r.xml ~source:r.source)
   | Some Oracle.Digraph_vs_csr ->
     guard (fun () ->
         Oracle.digraph_vs_csr ~graph_seed:r.graph_seed ~regex_src:r.source)
@@ -254,6 +259,7 @@ let replay (r : Corpus.repro) : Oracle.verdict =
         guard (fun () ->
             Oracle.match_vs_algebra
               (Some (Oracle.inproc_transport server))
-              ~doc_name:"repro" ~xml:r.xml ~source:r.source))
+              ~seed:r.seed ~doc_name:"repro" ~xml:r.xml ~source:r.source))
   | Some Oracle.Loaded_vs_frozen ->
-    guard (fun () -> Oracle.loaded_vs_frozen ~xml:r.xml ~source:r.source)
+    guard (fun () ->
+        Oracle.loaded_vs_frozen ~seed:r.seed ~xml:r.xml ~source:r.source)

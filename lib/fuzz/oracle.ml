@@ -9,8 +9,9 @@
     - {!digraph_vs_csr}: regular-path reachability over the mutable
       [Digraph] vs. the frozen [Csr] view (both sorted);
     - {!engine_vs_algebra}: the direct XML-GL matcher vs. the algebra
-      planner/executor under both join strategies (compared as sorted
-      binding sets — plan order is not part of the contract);
+      planner/executor, under the fail-first join order and under a
+      random order drawn from the case seed (compared as sorted binding
+      sets — plan order is not part of the contract);
     - {!direct_vs_served}: in-process evaluation vs. a [gql serve]
       round-trip and an in-process server without a result cache, each
       first under a deadline of a few us to 1 ms (the same answer or a
@@ -19,9 +20,9 @@
       embeddings, fixpoint statistics and the derived graph must all be
       byte-identical (the determinism guarantee of [Gql_graph.Par]);
     - {!match_vs_algebra}: the textual [MATCH] front-end — parse→pp→parse
-      identity, then the canonical result body along four in-process
-      routes (direct matcher scan/indexed, algebra greedy/fixed) and
-      through a served round-trip, cold and cached;
+      identity, then the canonical result body along the in-process
+      routes (direct matcher scan/indexed, algebra fail-first/random
+      order) and through a served round-trip, cold and cached;
     - {!loaded_vs_frozen}: a freshly frozen index vs. the same index
       after a {!Gql_data.Store} save/load round-trip — every engine
       must answer byte-identically on the loaded flat planes, and the
@@ -193,7 +194,18 @@ let digraph_vs_csr ~(graph_seed : int) ~(regex_src : string) : verdict =
 (* (c) direct engine vs. algebra planner/exec                          *)
 (* ------------------------------------------------------------------ *)
 
-let engine_vs_algebra ~(xml : string) ~(source : string) : verdict =
+(** The join-order reference of the algebra routes:
+    {!Gql_algebra.Planner.build_in_order} under a permutation of the
+    pattern's nodes drawn from the case seed, so a replay of the case
+    plans the same order again. *)
+let shuffled_planner ~seed (data : Gql_data.Graph.t)
+    (job : Gql_algebra.Planner.job) : Gql_algebra.Plan.t =
+  let k = Array.length job.Gql_algebra.Planner.pattern.Gql_graph.Homo.p_nodes in
+  let rng = Gql_workload.Prng.create ((seed * 131) + 17) in
+  Gql_algebra.Planner.build_in_order data job
+    (Array.to_list (Gql_workload.Prng.shuffle rng (Array.init k Fun.id)))
+
+let engine_vs_algebra ~seed ~(xml : string) ~(source : string) : verdict =
   match Gql_core.Gql.language_of_source source with
   | `Wglog | `Unknown -> Pass (* the algebra path plans XML-GL queries *)
   | `Match -> Pass (* covered, more strictly, by match_vs_algebra *)
@@ -215,22 +227,25 @@ let engine_vs_algebra ~(xml : string) ~(source : string) : verdict =
           let direct =
             capture (fun () -> norm_bindings (Gql_xmlgl.Matching.run ~index:idx data q))
           in
-          let planned strategy =
+          let planned planner =
             capture (fun () ->
-                norm_bindings (Gql_algebra.Exec.run_xmlgl ~strategy ~index:idx data q))
+                norm_bindings (Gql_algebra.Exec.run_xmlgl ~planner ~index:idx data q))
           in
-          match direct, planned `Greedy, planned `Fixed with
+          match
+            direct, planned Gql_algebra.Planner.build, planned (shuffled_planner ~seed)
+          with
           | Ok d, Ok g, Ok f ->
             if d = g && d = f then rules rest
             else
-              failf "binding sets differ: direct=%d greedy=%d fixed=%d"
+              failf "binding sets differ: direct=%d fail-first=%d shuffled=%d"
                 (List.length d) (List.length g) (List.length f)
           | Error a, Error b, Error c ->
             if a = b && a = c then rules rest
             else failf "errors differ: %s / %s / %s" a b c
           | d, g, f ->
             let s = function Ok _ -> "ok" | Error e -> e in
-            failf "one path raised: direct=%s greedy=%s fixed=%s" (s d) (s g) (s f))
+            failf "one path raised: direct=%s fail-first=%s shuffled=%s" (s d) (s g)
+              (s f))
       in
       rules p.Gql_xmlgl.Ast.rules)
 
@@ -504,17 +519,18 @@ let seq_vs_par ~(xml : string) ~(source : string) : verdict =
 
     - printing the parsed query and re-parsing it must give back the
       same AST, and printing again the same text (pp is a retraction);
-    - the canonical result body must be byte-identical along four
-      in-process routes that share only the compiled pattern: the direct
-      homomorphism matcher with scan candidates, the same with the index
-      provider, and the algebra executor under both planner strategies
-      (or all four must reject with the same message);
+    - the canonical result body must be byte-identical along the
+      in-process routes, which share only the compiled pattern: the
+      direct homomorphism matcher with scan candidates, the same with
+      the index provider, and the algebra executor under the fail-first
+      order, under a random order drawn from [seed], and without the
+      index (or all must reject with the same message);
     - with a transport, the same body must come back from a served
       round-trip, cold and cached ([Rcache] on).
 
     Routes are compared as rendered text, not embeddings, because the
     rendered body is the public contract of the textual front-end. *)
-let match_vs_algebra (transport : transport option) ~(doc_name : string)
+let match_vs_algebra (transport : transport option) ~seed ~(doc_name : string)
     ~(xml : string) ~(source : string) : verdict =
   match Gql_match.Parse.parse_result source with
   | Error msg -> failf "MATCH source does not parse: %s" msg
@@ -544,15 +560,11 @@ let match_vs_algebra (transport : transport option) ~(doc_name : string)
             );
             ( "algebra-greedy",
               route (fun c ->
-                  Gql_match.Eval.bindings_algebra ~strategy:`Greedy
+                  Gql_match.Eval.bindings_algebra
                     ~index:(Gql_core.Gql.index db) data c) );
-            ( "algebra-fixed",
+            ( "algebra-shuffled",
               route (fun c ->
-                  Gql_match.Eval.bindings_algebra ~strategy:`Fixed
-                    ~index:(Gql_core.Gql.index db) data c) );
-            ( "algebra-cost",
-              route (fun c ->
-                  Gql_match.Eval.bindings_algebra ~strategy:`Cost
+                  Gql_match.Eval.bindings_algebra ~planner:(shuffled_planner ~seed)
                     ~index:(Gql_core.Gql.index db) data c) );
             ( "algebra-noindex",
               route (fun c -> Gql_match.Eval.bindings_algebra data c) );
@@ -638,7 +650,7 @@ let match_vs_algebra (transport : transport option) ~(doc_name : string)
 
     A save or load that raises is a failure in itself — the generator
     only produces documents the store must accept. *)
-let loaded_vs_frozen ~(xml : string) ~(source : string) : verdict =
+let loaded_vs_frozen ~seed ~(xml : string) ~(source : string) : verdict =
   match Gql_core.Gql.language_of_source source with
   | `Unknown -> failf "query source has no language header"
   | lang -> (
@@ -731,15 +743,11 @@ let loaded_vs_frozen ~(xml : string) ~(source : string) : verdict =
                             data c) );
                     ( "algebra-greedy",
                       route (fun c ->
-                          Gql_match.Eval.bindings_algebra ~strategy:`Greedy
+                          Gql_match.Eval.bindings_algebra
                             ~index:(Gql_core.Gql.index db) data c) );
-                    ( "algebra-fixed",
+                    ( "algebra-shuffled",
                       route (fun c ->
-                          Gql_match.Eval.bindings_algebra ~strategy:`Fixed
-                            ~index:(Gql_core.Gql.index db) data c) );
-                    ( "algebra-cost",
-                      route (fun c ->
-                          Gql_match.Eval.bindings_algebra ~strategy:`Cost
+                          Gql_match.Eval.bindings_algebra ~planner:(shuffled_planner ~seed)
                             ~index:(Gql_core.Gql.index db) data c) );
                     ( "algebra-noindex",
                       route (fun c -> Gql_match.Eval.bindings_algebra data c) );

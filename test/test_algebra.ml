@@ -1,6 +1,6 @@
 (* Tests for Gql_algebra: plan construction, EXPLAIN rendering, and the
-   central equivalence property — plans (both strategies) produce the
-   same bindings as the direct Homo matcher. *)
+   central equivalence property — plans (fail-first and any other join
+   order) produce the same bindings as the direct Homo matcher. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -38,7 +38,7 @@ let test_greedy_starts_selective () =
   (* greedy must not start from the most common node type *)
   let data = people 30 in
   let q = query_of q_src in
-  let s = Gql_algebra.Exec.explain_xmlgl ~strategy:`Greedy data q in
+  let s = Gql_algebra.Exec.explain_xmlgl data q in
   (* the deepest line (innermost op) is the scan; it must not scan the
      most frequent label.  We just require a single scan (connected
      pattern => no cross products). *)
@@ -50,12 +50,23 @@ let test_greedy_starts_selective () =
   in
   check_int "single scan" 1 count_scans
 
-let agree src data =
+(* The fail-first plan and the join-order reference — declaration order
+   by default, a permutation drawn from [seed] when given — must both
+   answer what the matcher answers. *)
+let agree ?seed src data =
   let q = query_of src in
   let reference = normalise (Gql_xmlgl.Matching.run data q) in
-  let greedy = normalise (Gql_algebra.Exec.run_xmlgl ~strategy:`Greedy data q) in
-  let fixed = normalise (Gql_algebra.Exec.run_xmlgl ~strategy:`Fixed data q) in
-  reference = greedy && reference = fixed
+  let planner =
+    match seed with
+    | Some seed -> Gql_fuzz.Oracle.shuffled_planner ~seed
+    | None ->
+      fun data (job : Gql_algebra.Planner.job) ->
+        let k = Array.length job.Gql_algebra.Planner.pattern.Gql_graph.Homo.p_nodes in
+        Gql_algebra.Planner.build_in_order data job (List.init k Fun.id)
+  in
+  let planned = normalise (Gql_algebra.Exec.run_xmlgl data q) in
+  let reordered = normalise (Gql_algebra.Exec.run_xmlgl ~planner data q) in
+  reference = planned && reference = reordered
 
 let test_equivalence_q3 () = check "q3" true (agree Gql_workload.Queries.q3_src (people 25))
 let test_equivalence_q6 () = check "q6 (negation)" true (agree Gql_workload.Queries.q6_src (people 25))
@@ -92,15 +103,15 @@ end
   check "uses cross" true (Gql_regex.Chre.search (Gql_regex.Chre.compile "cross") s);
   check "matches reference" true (agree src data)
 
-(* Property over random people-db sizes: both strategies agree with the
-   matcher on the full suite of XML-GL queries. *)
+(* Property over random people-db sizes and join orders: fail-first and
+   a seeded random order agree with the matcher on Q3 and Q6. *)
 let prop_strategies_agree =
   QCheck.Test.make ~name:"plans agree with matcher on Q3/Q6" ~count:15
-    QCheck.(make Gen.(int_range 3 25))
-    (fun n ->
+    QCheck.(make Gen.(pair (int_range 3 25) (int_bound 0x3FFFFFFF)))
+    (fun (n, seed) ->
       let data = people n in
-      agree Gql_workload.Queries.q3_src data
-      && agree Gql_workload.Queries.q6_src data)
+      agree ~seed Gql_workload.Queries.q3_src data
+      && agree ~seed Gql_workload.Queries.q6_src data)
 
 (* --- cost model and planner ordering regressions (PR 8) --------------- *)
 
@@ -140,13 +151,29 @@ let test_capped_estimate_order () =
      counting pass, so B and C both reported 6 and B (the lower
      variable id) was expanded first.  [Plan.vars] lists the binding
      order outermost-first. *)
-  List.iter
-    (fun strategy ->
-      let plan = Gql_algebra.Planner.build ~strategy data job in
-      check_int "binding order A,C,B"
-        0
-        (compare (Gql_algebra.Plan.vars plan) [ 1; 2; 0 ]))
-    [ `Greedy; `Cost ]
+  let plan = Gql_algebra.Planner.build data job in
+  check_int "binding order A,C,B" 0
+    (compare (Gql_algebra.Plan.vars plan) [ 1; 2; 0 ])
+
+(* EXPLAIN's Expand rows read the destination's exact count even when
+   fail-first never scanned it: C is bound through an edge, so its count
+   is still the capped lower bound make_estimates left (A's 5 + 1). *)
+let test_expand_rows_use_exact_counts () =
+  let data = counted_graph () in
+  let pattern =
+    {
+      H.p_nodes = [| label_pred "A"; label_pred "C" |];
+      p_edges = [ (0, H.Direct (fun _ -> true), 1) ];
+    }
+  in
+  let job = { Gql_algebra.Planner.pattern; residuals = []; provider = None } in
+  match Gql_algebra.Planner.build data job with
+  | Gql_algebra.Plan.Expand { est = Some e; dst = 1; _ } ->
+    (* 5 A rows x average degree 2/112 (clamped to 1) x selectivity 7/112 *)
+    let n = float_of_int (Graph.n_nodes data) in
+    Alcotest.(check (float 1e-9)) "expand rows" (5.0 *. 1.0 *. (7.0 /. n))
+      e.Gql_algebra.Plan.est_rows
+  | p -> Alcotest.failf "unexpected plan:\n%s" (Gql_algebra.Plan.to_string p)
 
 let test_parallel_edges_prefer_direct () =
   let data = counted_graph () in
@@ -158,7 +185,8 @@ let test_parallel_edges_prefer_direct () =
   in
   (* Two parallel edges between the same endpoints: the regular path is
      declared first, but the Direct edge must carry the Expand and the
-     path must be demoted to a post-hoc edge check. *)
+     path must be demoted to a post-hoc edge check — under fail-first
+     and under either binding order. *)
   let pattern =
     {
       H.p_nodes = [| label_pred "A"; label_pred "B" |];
@@ -169,13 +197,13 @@ let test_parallel_edges_prefer_direct () =
     { Gql_algebra.Planner.pattern; residuals = []; provider = None }
   in
   List.iter
-    (fun strategy ->
-      let plan = Gql_algebra.Planner.build ~strategy data job in
+    (fun plan ->
       let s = Gql_algebra.Plan.to_string plan in
       check "expand rides the direct edge" true (contains s "via direct");
       check "path edge demoted to a check" true (contains s "\\(path\\)");
       check "no path expansion" false (contains s "via path"))
-    [ `Greedy; `Cost; `Fixed ]
+    (Gql_algebra.Planner.build data job
+    :: List.map (Gql_algebra.Planner.build_in_order data job) [ [ 0; 1 ]; [ 1; 0 ] ])
 
 let test_sentinel_million_candidates () =
   (* Regression for the old pick_next scoring [est + 1_000_000 if
@@ -192,12 +220,8 @@ let test_sentinel_million_candidates () =
   in
   let c = Gql_match.Compile.compile q in
   let job = Gql_match.Compile.job ~index:idx c in
-  List.iter
-    (fun strategy ->
-      let plan = Gql_algebra.Planner.build ~strategy data job in
-      check "connected pattern has no cross" false
-        (Gql_algebra.Plan.has_cross plan))
-    [ `Greedy; `Cost ]
+  check "connected pattern has no cross" false
+    (Gql_algebra.Plan.has_cross (Gql_algebra.Planner.build data job))
 
 (* --- golden cost-annotated EXPLAIN suite ------------------------------ *)
 
@@ -238,8 +262,8 @@ let explain_suite () : string =
   Buffer.contents buf
 
 (* Byte-compared against test/golden/explain_cost.txt: any change to
-   the cost formulas, calibration constants, estimate plumbing or plan
-   rendering shows up as a diff here.  To update, run the test and copy
+   the join order, the cost formulas or their constants, estimate
+   plumbing or plan rendering shows up as a diff here.  To update, run the test and copy
    the printed actual over the golden file. *)
 let test_explain_golden () =
   let golden =
@@ -254,14 +278,14 @@ let test_explain_golden () =
     Printf.printf "--- actual golden/explain_cost.txt ---\n%s" actual;
     check_str "cost-annotated EXPLAIN suite" golden actual)
 
-(* The enumerated (cost-based) planner must agree with greedy on result
+(* The fail-first plan must agree with a random join order on result
    bytes for arbitrary fuzz-generated documents and MATCH queries — the
    same canonical-body comparison the differential fuzzer runs. *)
-let prop_cost_matches_greedy =
-  QCheck.Test.make ~name:"cost plans match greedy result bytes (fuzz)"
+let prop_order_independent =
+  QCheck.Test.make ~name:"plans match random join order (fuzz)"
     ~count:200
-    QCheck.(make Gen.(int_bound 0x3FFFFFFF))
-    (fun seed ->
+    QCheck.(make Gen.(pair (int_bound 0x3FFFFFFF) (int_bound 0x3FFFFFFF)))
+    (fun (seed, order_seed) ->
       let case = Gql_fuzz.Casegen.generate ~seed in
       let db = Gql_core.Gql.load_xml_string case.Gql_fuzz.Casegen.xml in
       let data = db.Gql_core.Gql.graph in
@@ -270,11 +294,12 @@ let prop_cost_matches_greedy =
       match Gql_match.Compile.compile q with
       | exception Gql_match.Compile.Error _ -> true
       | c ->
-        let body strategy =
+        let body planner =
           Gql_match.Eval.body data c
-            (Gql_match.Eval.bindings_algebra ~strategy ~index data c)
+            (Gql_match.Eval.bindings_algebra ?planner ~index data c)
         in
-        body `Cost = body `Greedy)
+        body None
+        = body (Some (Gql_fuzz.Oracle.shuffled_planner ~seed:order_seed)))
 
 let () =
   Alcotest.run "gql_algebra"
@@ -301,10 +326,12 @@ let () =
             test_capped_estimate_order;
           Alcotest.test_case "parallel edges prefer direct" `Quick
             test_parallel_edges_prefer_direct;
+          Alcotest.test_case "expand rows use exact counts" `Quick
+            test_expand_rows_use_exact_counts;
           Alcotest.test_case "million-candidate node stays connected" `Quick
             test_sentinel_million_candidates;
           Alcotest.test_case "golden cost-annotated explains" `Quick
             test_explain_golden;
-          QCheck_alcotest.to_alcotest prop_cost_matches_greedy;
+          QCheck_alcotest.to_alcotest prop_order_independent;
         ] );
     ]

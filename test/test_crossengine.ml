@@ -23,13 +23,20 @@ end
 |}
     parent child
 
-let engines_agree_on src db xpath =
+(* The matcher, the fail-first plan and a plan in a join order drawn
+   from [seed] must bind the same. *)
+let engines_agree_on ~seed src db xpath =
   let p = Gql_core.Gql.parse_xmlgl src in
   let q = (List.hd p.Gql_xmlgl.Ast.rules).Gql_xmlgl.Ast.query in
   let norm bs = List.sort compare (List.map Array.to_list bs) in
   let m = norm (Gql_xmlgl.Matching.run db.Gql_core.Gql.graph q) in
-  let g = norm (Gql_algebra.Exec.run_xmlgl ~strategy:`Greedy db.Gql_core.Gql.graph q) in
-  let f = norm (Gql_algebra.Exec.run_xmlgl ~strategy:`Fixed db.Gql_core.Gql.graph q) in
+  let g = norm (Gql_algebra.Exec.run_xmlgl db.Gql_core.Gql.graph q) in
+  let f =
+    norm
+      (Gql_algebra.Exec.run_xmlgl
+         ~planner:(Gql_fuzz.Oracle.shuffled_planner ~seed)
+         db.Gql_core.Gql.graph q)
+  in
   m = g && m = f
   &&
   match xpath with
@@ -47,7 +54,7 @@ let prop_parent_child =
     QCheck.(make Gen.(triple (int_range 1 500) (oneofl tags) (oneofl tags)))
     (fun (seed, parent, child) ->
       let db = random_db seed in
-      engines_agree_on (q_parent_child parent child) db
+      engines_agree_on ~seed (q_parent_child parent child) db
         (Some (Printf.sprintf "//%s/%s" parent child)))
 
 let q_deep anc desc =
@@ -73,7 +80,7 @@ let prop_deep =
       (* engines agree on bindings; against XPath compare *distinct
          descendants* (a node under two same-named ancestors is one XPath
          result but two bindings) *)
-      engines_agree_on (q_deep anc desc) db None
+      engines_agree_on ~seed (q_deep anc desc) db None
       &&
       let p = Gql_core.Gql.parse_xmlgl (q_deep anc desc) in
       let q = (List.hd p.Gql_xmlgl.Ast.rules).Gql_xmlgl.Ast.query in
@@ -106,7 +113,7 @@ let prop_absent =
     QCheck.(make Gen.(triple (int_range 1 500) (oneofl tags) (oneofl tags)))
     (fun (seed, parent, missing) ->
       let db = random_db seed in
-      engines_agree_on (q_absent parent missing) db
+      engines_agree_on ~seed (q_absent parent missing) db
         (Some (Printf.sprintf "//%s[not(%s)]" parent missing)))
 
 let q_attr_select tag =
@@ -129,7 +136,7 @@ let prop_attr =
     QCheck.(make Gen.(pair (int_range 1 500) (oneofl tags)))
     (fun (seed, tag) ->
       let db = random_db seed in
-      engines_agree_on (q_attr_select tag) db
+      engines_agree_on ~seed (q_attr_select tag) db
         (Some (Printf.sprintf "//%s[@id]" tag)))
 
 (* Construction totality: run_program never raises on well-formed suite

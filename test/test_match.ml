@@ -173,8 +173,11 @@ let routes db (q : Gql_match.Ast.query) : (string * string) list =
     ("homo-indexed", body (Gql_match.Eval.bindings ~index:idx graph c));
     ("algebra-greedy",
      body (Gql_match.Eval.bindings_algebra ~index:idx graph c));
-    ("algebra-fixed",
-     body (Gql_match.Eval.bindings_algebra ~strategy:`Fixed ~index:idx graph c));
+    ("algebra-shuffled",
+     body
+       (Gql_match.Eval.bindings_algebra
+          ~planner:(Gql_fuzz.Oracle.shuffled_planner ~seed:(Hashtbl.hash q))
+          ~index:idx graph c));
     ("algebra-noindex", body (Gql_match.Eval.bindings_algebra graph c));
   ]
 

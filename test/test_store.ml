@@ -70,15 +70,14 @@ let test_match_routes_identity () =
                         data c) );
                 ( "algebra-greedy",
                   body (fun c ->
-                      Gql_match.Eval.bindings_algebra ~strategy:`Greedy
+                      Gql_match.Eval.bindings_algebra
                         ~index:(Gql_core.Gql.index db) data c) );
-                ( "algebra-fixed",
+                ( "algebra-shuffled",
                   body (fun c ->
-                      Gql_match.Eval.bindings_algebra ~strategy:`Fixed
-                        ~index:(Gql_core.Gql.index db) data c) );
-                ( "algebra-cost",
-                  body (fun c ->
-                      Gql_match.Eval.bindings_algebra ~strategy:`Cost
+                      Gql_match.Eval.bindings_algebra
+                        ~planner:
+                          (Gql_fuzz.Oracle.shuffled_planner
+                             ~seed:(Hashtbl.hash q.sq_name))
                         ~index:(Gql_core.Gql.index db) data c) );
                 ( "algebra-noindex",
                   body (fun c -> Gql_match.Eval.bindings_algebra data c) );
