@@ -593,12 +593,6 @@ let path_cached t rp ~(rev : bool) n : Iset.t =
 let path_connects t rp ~src ~dst : bool =
   Iset.mem (path_cached t rp ~rev:false src) dst
 
-(** Per-source reachable sets resolved in one scratch sweep, filling the
-    memo as a side effect.  Sources already memoised are served from the
-    memo; the rest run on the snapshot's plane. *)
-let path_reachable_batch t rp (srcs : int array) : Iset.t array =
-  Array.map (fun src -> path_cached t rp ~rev:false src) srcs
-
 (** Regular-path navigation over the frozen view: specialised automaton
     on the snapshot's symbol plane, memoised per (automaton, direction,
     node), with backward navigation answered by the reverse automaton

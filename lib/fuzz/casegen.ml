@@ -118,7 +118,7 @@ let gen_xmlgl rng : string =
 let path_res =
   (* biased toward starred / deep forms: those are the shapes where the
      flat product-automaton engine diverging from the reference would
-     actually show (frontier growth, ε-closure over nested closures) *)
+     actually show (frontier growth, follow sets of nested closures) *)
   [| "."; ".."; ".+"; ".?"; ".*"; ".+.+"; "..?"; ".?.+"; "(..)+" |]
 
 let gen_wglog rng : string =

@@ -7,7 +7,9 @@
     - {!scan_vs_index}: embedding search with scan candidates vs. the
       frozen index provider (same embeddings, same order);
     - {!digraph_vs_csr}: regular-path reachability over the mutable
-      [Digraph] vs. the frozen [Csr] view (both sorted);
+      [Digraph] vs. the frozen [Csr] view (both sorted), forward and
+      reverse, the reverse searches against the transposed forward
+      relation;
     - {!engine_vs_algebra}: the direct XML-GL matcher vs. the algebra
       planner/executor, under the fail-first join order and under a
       random order drawn from the case seed (compared as sorted binding
@@ -178,14 +180,28 @@ let digraph_vs_csr ~(graph_seed : int) ~(regex_src : string) : verdict =
     in
     let frozen = Gql_graph.Csr.freeze g in
     let n = Gql_graph.Digraph.n_nodes g in
+    let fwd = Array.init n (fun s -> Gql_graph.Regpath.reachable rp g s) in
+    (* the reverse leg: who reaches [t] is the forward relation transposed *)
+    let back = Array.make n [] in
+    for s = n - 1 downto 0 do
+      List.iter (fun t -> back.(t) <- s :: back.(t)) fwd.(s)
+    done;
     let rec check_from s =
       if s >= n then Pass
       else
-        let live = Gql_graph.Regpath.reachable rp g s in
         let cold = Gql_graph.Regpath.reachable_frozen rp frozen s in
-        if live <> cold then
+        let rev_live = Gql_graph.Iset.to_list (Gql_graph.Regpath.reachable_rev_set rp g s) in
+        let rev_cold =
+          Gql_graph.Iset.to_list (Gql_graph.Regpath.reachable_frozen_rev_set rp frozen s)
+        in
+        if fwd.(s) <> cold then
           failf "reachable sets differ from node %d under /%s/: live=%d frozen=%d"
-            s regex_src (List.length live) (List.length cold)
+            s regex_src (List.length fwd.(s)) (List.length cold)
+        else if rev_live <> back.(s) || rev_cold <> back.(s) then
+          failf
+            "reverse sets into node %d under /%s/: transposed=%d live=%d frozen=%d"
+            s regex_src (List.length back.(s)) (List.length rev_live)
+            (List.length rev_cold)
         else check_from (s + 1)
     in
     check_from 0)

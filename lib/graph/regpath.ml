@@ -9,18 +9,18 @@
     navigational workhorse of all three engines.
 
     Implementation: the regex is compiled once into a dense int-indexed
-    automaton — a Thompson NFA flattened into offset/target arrays with
-    every ε-transition eliminated up front (start states are the
-    ε-closure of the Thompson start; each symbol transition's target set
-    is pre-expanded through its ε-closure).  Evaluation is then a plain
-    BFS over single [(node, state)] pairs: the product space is
+    automaton — its Glushkov (position) automaton, ε-free by
+    construction, flattened into offset/target arrays.  State 0 is the
+    start and state [p] means "position [p] was just read", so a
+    transition into [p] tests leaf [p].  Evaluation is then a plain BFS
+    over single [(node, state)] pairs: the product space is
     [|V| * |Q|], visited pairs live in a flat [Bytes] bitset, the
     frontier is an int array whose retained prefix doubles as the
     touched list (so clearing costs O(visited), not O(|V|*|Q|)), and no
     list cell is allocated on the hot path.  Scratch buffers are
     domain-local and reused across searches; [connects] exits on the
-    first accepting pair; a reverse automaton compiled alongside the
-    forward one answers "which sources reach [n]" without scanning the
+    first accepting pair; a reverse automaton built from the same
+    positions answers "which sources reach [n]" without scanning the
     graph.
 
     Each symbol leaf carries both a predicate closure (for mutable
@@ -101,26 +101,20 @@ let rec bump_max a v =
     the leaf's predicate closure. *)
 type lclass = Lany | Lname of string | Lopaque
 
-(* One direction of the automaton, ε-free.  State [q] owns transitions
-   [h_off.(q) .. h_off.(q+1)-1]; transition [ti] tests leaf
-   [h_leaf.(ti)] and on success activates every state in
-   [h_tgt.(h_tgt_off.(ti) .. h_tgt_off.(ti+1)-1)] (the ε-closure of the
-   raw Thompson target, precomputed).  A pushed state is accepting iff
-   it equals [h_accept] — closure expansion enumerates each closed
-   state individually, so no set-valued acceptance test is needed. *)
+(* One direction of the automaton.  State [q] owns transitions
+   [h_off.(q) .. h_off.(q+1)-1]; transition [ti] enters state
+   [p = h_next.(ti)], a position, by testing leaf [p] (index [p - 1] of
+   the leaf arrays).  Leaves are positions in [Syntax.symbols] order. *)
 type half = {
-  h_start : int array;  (** ε-closure of the start state *)
-  h_accept : int;
   h_off : int array;  (** length [n_states + 1] *)
-  h_leaf : int array;
-  h_tgt_off : int array;  (** length [n_transitions + 1] *)
-  h_tgt : int array;
+  h_next : int array;
+  h_final : bool array;  (** accepting states *)
 }
 
 type 'e t = {
   uid : int;  (** process-unique; keys per-snapshot spec/memo caches *)
   plane_hint : int;  (** which frozen edge plane applies; 0 = none *)
-  n_states : int;
+  n_states : int;  (** positions + 1 *)
   is_nullable : bool;  (** ε ∈ L: the start node is always reachable *)
   bound : int option;  (** longest accepted word when the language is finite *)
   preds : ('e -> bool) array;  (** per-leaf predicate closures *)
@@ -128,86 +122,30 @@ type 'e t = {
   opaque_spec : int array;  (** all-[-2] spec: force the predicate lane *)
   fwd : half;
   rev : half;  (** same language reversed; answers backward navigation *)
-  nfa : 'e Gql_regex.Nfa.t;  (** kept for the subset-BFS reference engine *)
 }
 
 let uid t = t.uid
 let plane_hint t = t.plane_hint
-let n_states t = t.n_states
 let nullable t = t.is_nullable
 let depth_bound t = t.bound
 let uid_counter = Atomic.make 0
 
 (* --- compilation --------------------------------------------------- *)
 
-(* ε-closure of [q] over adjacency lists, ascending. *)
-let closure_of (eps : int list array) (q : int) : int array =
-  let n = Array.length eps in
-  let seen = Array.make n false in
-  let rec go q =
-    if not seen.(q) then begin
-      seen.(q) <- true;
-      List.iter go eps.(q)
-    end
-  in
-  go q;
-  let count = ref 0 in
-  Array.iter (fun b -> if b then incr count) seen;
-  let out = Array.make !count 0 in
-  let i = ref 0 in
-  Array.iteri
-    (fun s b ->
-      if b then begin
-        out.(!i) <- s;
-        incr i
-      end)
-    seen;
-  out
-
-(* Flatten one direction: raw Thompson ε/transition lists to the dense
-   offset arrays, with targets expanded through their ε-closures. *)
-let flatten ~n_states ~start ~accept ~(eps : int list array)
-    ~(trans : (int * int) list array) : half =
-  (* trans.(q) = (leaf, raw target) pairs out of q *)
-  let h_start = closure_of eps start in
-  let n_trans = Array.fold_left (fun acc l -> acc + List.length l) 0 trans in
-  let h_off = Array.make (n_states + 1) 0 in
-  let h_leaf = Array.make n_trans 0 in
-  let h_tgt_off = Array.make (n_trans + 1) 0 in
-  let tgt_chunks = Array.make n_trans [||] in
-  let ti = ref 0 in
-  for q = 0 to n_states - 1 do
-    h_off.(q) <- !ti;
-    List.iter
-      (fun (leaf, raw_tgt) ->
-        h_leaf.(!ti) <- leaf;
-        tgt_chunks.(!ti) <- closure_of eps raw_tgt;
-        incr ti)
-      trans.(q)
-  done;
-  h_off.(n_states) <- !ti;
-  let total = Array.fold_left (fun acc c -> acc + Array.length c) 0 tgt_chunks in
-  let h_tgt = Array.make (max 1 total) 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun i chunk ->
-      h_tgt_off.(i) <- !k;
-      Array.iter
-        (fun s ->
-          h_tgt.(!k) <- s;
-          incr k)
-        chunk)
-    tgt_chunks;
-  h_tgt_off.(n_trans) <- !k;
-  { h_start; h_accept = accept; h_off; h_leaf; h_tgt_off; h_tgt }
+(* [next.(q)]: the states entered from [q]; [final.(q)]: is [q] accepting. *)
+let half_of (next : int array array) (final : bool array) : half =
+  let h_off = Array.make (Array.length next + 1) 0 in
+  Array.iteri (fun q ps -> h_off.(q + 1) <- h_off.(q) + Array.length ps) next;
+  { h_off; h_next = Array.concat (Array.to_list next); h_final = final }
 
 exception Cyclic
 
-(* Longest accepted word, walking the ε-free symbol graph.  Any cycle
-   reachable from a start state makes the bound [None] — conservative
+(* Longest accepted word, walking the symbol graph from state 0.  Any
+   cycle reachable from the start makes the bound [None] — conservative
    when the cycle cannot reach acceptance, which only costs the planner
    a looser estimate. *)
-let compute_bound (h : half) ~n_states : int option =
+let compute_bound (h : half) : int option =
+  let n_states = Array.length h.h_final in
   let color = Array.make n_states 0 in
   (* 0 white, 1 on stack, 2 done *)
   let best = Array.make n_states (-1) in
@@ -218,126 +156,51 @@ let compute_bound (h : half) ~n_states : int option =
     | 2 -> best.(q)
     | _ ->
       color.(q) <- 1;
-      let b = ref (if q = h.h_accept then 0 else -1) in
+      let b = ref (if h.h_final.(q) then 0 else -1) in
       for ti = h.h_off.(q) to h.h_off.(q + 1) - 1 do
-        for k = h.h_tgt_off.(ti) to h.h_tgt_off.(ti + 1) - 1 do
-          let bt = go h.h_tgt.(k) in
-          if bt >= 0 && bt + 1 > !b then b := bt + 1
-        done
+        let bt = go h.h_next.(ti) in
+        if bt >= 0 && bt + 1 > !b then b := bt + 1
       done;
       color.(q) <- 2;
       best.(q) <- !b;
       !b
   in
-  try
-    let d = Array.fold_left (fun acc q -> max acc (go q)) (-1) h.h_start in
-    Some (max d 0)
-  with Cyclic -> None
+  try Some (max (go 0) 0) with Cyclic -> None
 
 let compile_classified ~(plane_hint : int) ~(classify : 'a -> lclass)
     (pred : 'a -> 'e -> bool) (re : 'a Gql_regex.Syntax.t) : 'e t =
   Atomic.incr c_compiles;
-  (* Thompson construction, keeping the leaf identity of each symbol
-     transition (Gql_regex.Nfa folds leaves into bare closures, which
-     would lose the classification). *)
-  let next = ref 0 in
-  let new_state () =
-    let s = !next in
-    incr next;
-    s
+  let module G = Gql_regex.Glushkov in
+  let g = G.build re in
+  let n = G.n_positions g in
+  let ns = n + 1 in
+  let final_at ps =
+    let f = Array.make ns false in
+    Array.iter (fun p -> f.(p) <- true) ps;
+    f.(0) <- G.nullable g;
+    f
   in
-  let eps_edges = ref [] and sym_edges = ref [] in
-  let leaf_preds = ref [] and leaf_classes = ref [] and n_leaves = ref 0 in
-  let new_leaf s =
-    let i = !n_leaves in
-    incr n_leaves;
-    leaf_preds := pred s :: !leaf_preds;
-    leaf_classes := classify s :: !leaf_classes;
-    i
-  in
-  let add_eps p q = eps_edges := (p, q) :: !eps_edges in
-  let rec go = function
-    | Gql_regex.Syntax.Empty ->
-      let i = new_state () and o = new_state () in
-      (i, o)
-    | Gql_regex.Syntax.Eps ->
-      let i = new_state () and o = new_state () in
-      add_eps i o;
-      (i, o)
-    | Gql_regex.Syntax.Sym s ->
-      let i = new_state () and o = new_state () in
-      sym_edges := (i, new_leaf s, o) :: !sym_edges;
-      (i, o)
-    | Gql_regex.Syntax.Seq (x, y) ->
-      let ix, ox = go x in
-      let iy, oy = go y in
-      add_eps ox iy;
-      (ix, oy)
-    | Gql_regex.Syntax.Alt (x, y) ->
-      let i = new_state () and o = new_state () in
-      let ix, ox = go x in
-      let iy, oy = go y in
-      add_eps i ix;
-      add_eps i iy;
-      add_eps ox o;
-      add_eps oy o;
-      (i, o)
-    | Gql_regex.Syntax.Star x ->
-      let i = new_state () and o = new_state () in
-      let ix, ox = go x in
-      add_eps i ix;
-      add_eps i o;
-      add_eps ox ix;
-      add_eps ox o;
-      (i, o)
-    | Gql_regex.Syntax.Plus x ->
-      let ix, ox = go x in
-      let o = new_state () in
-      add_eps ox ix;
-      add_eps ox o;
-      (ix, o)
-    | Gql_regex.Syntax.Opt x ->
-      let i = new_state () and o = new_state () in
-      let ix, ox = go x in
-      add_eps i ix;
-      add_eps i o;
-      add_eps ox o;
-      (i, o)
-  in
-  let start, accept = go re in
-  let n = !next in
-  let eps = Array.make n [] and eps_r = Array.make n [] in
-  List.iter
-    (fun (p, q) ->
-      eps.(p) <- q :: eps.(p);
-      eps_r.(q) <- p :: eps_r.(q))
-    !eps_edges;
-  let trans = Array.make n [] and trans_r = Array.make n [] in
-  List.iter
-    (fun (p, leaf, q) ->
-      trans.(p) <- (leaf, q) :: trans.(p);
-      trans_r.(q) <- (leaf, p) :: trans_r.(q))
-    !sym_edges;
-  let fwd = flatten ~n_states:n ~start ~accept ~eps ~trans in
-  let rev = flatten ~n_states:n ~start:accept ~accept:start ~eps:eps_r ~trans:trans_r in
-  let is_nullable = Array.exists (fun q -> q = accept) fwd.h_start in
-  let n_leaves = !n_leaves in
-  let preds = Array.make (max 1 n_leaves) (fun _ -> false) in
-  let classes = Array.make (max 1 n_leaves) Lopaque in
-  List.iteri (fun i p -> preds.(n_leaves - 1 - i) <- p) !leaf_preds;
-  List.iteri (fun i c -> classes.(n_leaves - 1 - i) <- c) !leaf_classes;
+  let fwd = half_of (Array.init ns (G.follow g)) (final_at (G.last g)) in
+  (* reversed: start into [last], step along transposed [follow], accept
+     at [first] *)
+  let back = Array.make ns [] in
+  for q = n downto 1 do
+    Array.iter (fun p -> back.(p) <- q :: back.(p)) (G.follow g q)
+  done;
+  back.(0) <- Array.to_list (G.last g);
+  let rev = half_of (Array.map Array.of_list back) (final_at (G.first g)) in
+  let leaves = Array.init n (fun i -> G.sym_at g (i + 1)) in
   {
     uid = Atomic.fetch_and_add uid_counter 1;
     plane_hint;
-    n_states = n;
-    is_nullable;
-    bound = compute_bound fwd ~n_states:n;
-    preds;
-    classes;
-    opaque_spec = Array.make (max 1 n_leaves) (-2);
+    n_states = ns;
+    is_nullable = G.nullable g;
+    bound = compute_bound fwd;
+    preds = Array.map pred leaves;
+    classes = Array.map classify leaves;
+    opaque_spec = Array.make n (-2);
     fwd;
     rev;
-    nfa = Gql_regex.Nfa.compile pred re;
   }
 
 let compile (pred : 'a -> 'e -> bool) (re : 'a Gql_regex.Syntax.t) : 'e t =
@@ -495,20 +358,15 @@ let search_scratch (t : 'e t) (h : half) (spec : spec) (s : scratch)
   in
   Fun.protect ~finally:finish @@ fun () ->
   (try
-     Array.iter
-       (fun q ->
-         let p = (src * ns) + q in
-         if not (bit_get s.visited p) then begin
-           bit_set s.visited p;
-           push_frontier src q;
-           if q = h.h_accept then record src
-         end)
-       h.h_start;
+     bit_set s.visited (src * ns);
+     push_frontier src 0;
+     if h.h_final.(0) then record src;
      let cur_q = ref 0 in
      let on_edge dst es lab =
        let q = !cur_q in
        for ti = h.h_off.(q) to h.h_off.(q + 1) - 1 do
-         let li = Array.unsafe_get h.h_leaf ti in
+         let tq = Array.unsafe_get h.h_next ti in
+         let li = tq - 1 in
          let sv = Array.unsafe_get spec li in
          let ok =
            if sv >= 0 then es = sv
@@ -516,16 +374,14 @@ let search_scratch (t : 'e t) (h : half) (spec : spec) (s : scratch)
            else if sv = -2 then (Array.unsafe_get preds li) lab
            else false
          in
-         if ok then
-           for k = h.h_tgt_off.(ti) to h.h_tgt_off.(ti + 1) - 1 do
-             let tq = Array.unsafe_get h.h_tgt k in
-             let p = (dst * ns) + tq in
-             if not (bit_get s.visited p) then begin
-               bit_set s.visited p;
-               push_frontier dst tq;
-               if tq = h.h_accept then record dst
-             end
-           done
+         if ok then begin
+           let p = (dst * ns) + tq in
+           if not (bit_get s.visited p) then begin
+             bit_set s.visited p;
+             push_frontier dst tq;
+             if Array.unsafe_get h.h_final tq then record dst
+           end
+         end
        done
      in
      let cursor = ref 0 in
@@ -639,23 +495,6 @@ let connects rp (g : ('n, 'e) Digraph.t) ~src ~dst =
   | `Hit -> true
   | `Set _ -> false
 
-let connects_frozen rp (c : ('n, 'e) Csr.t) ~src ~dst =
-  match
-    product_search rp rp.fwd rp.opaque_spec ~n_nodes:(Csr.n_nodes c)
-      ~iter:(csr_fwd c) ~src ~target:dst
-  with
-  | `Hit -> true
-  | `Set _ -> false
-
-let connects_plane (rp : 'e t) (spec : spec) (c : ('n, 'e) Csr.t)
-    ~(plane : int array) ~src ~dst =
-  match
-    product_search rp rp.fwd spec ~n_nodes:(Csr.n_nodes c)
-      ~iter:(csr_fwd_plane c plane) ~src ~target:dst
-  with
-  | `Hit -> true
-  | `Set _ -> false
-
 (* --- multi-source batches ------------------------------------------ *)
 
 (* One scratch acquisition amortised over the whole source frontier;
@@ -690,41 +529,39 @@ let reachable_rev_batch (rp : 'e t) (g : ('n, 'e) Digraph.t) (srcs : int array) 
 (* ------------------------------------------------------------------ *)
 (* Reference engines.                                                  *)
 
-(* The pre-flattening subset-construction BFS, kept verbatim as the
-   list-based reference: qcheck equivalence properties and the E16
-   micro-benchmark compare against it. *)
-let key_of_set set =
-  let b = Buffer.create 16 in
-  Array.iteri
-    (fun i m ->
-      if m then begin
-        Buffer.add_string b (string_of_int i);
-        Buffer.add_char b ','
-      end)
-    set;
-  Buffer.contents b
-
+(* The subset-construction BFS over (node, position set) pairs, kept
+   as the list-based reference: qcheck equivalence properties and the
+   E16 micro-benchmark compare against it. *)
 let reachable_subset_iter (rp : 'e t)
     ~(iter_succ : Digraph.node -> (Digraph.node -> 'e -> unit) -> unit)
     (start : Digraph.node) : Digraph.node list =
-  let init = Gql_regex.Nfa.start_set rp.nfa in
-  let seen : (int * string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let h = rp.fwd in
+  let step set label =
+    let out = Array.make rp.n_states false in
+    Array.iteri
+      (fun q live ->
+        if live then
+          for ti = h.h_off.(q) to h.h_off.(q + 1) - 1 do
+            let p = h.h_next.(ti) in
+            if rp.preds.(p - 1) label then out.(p) <- true
+          done)
+      set;
+    out
+  in
+  let seen : (int * bool array, unit) Hashtbl.t = Hashtbl.create 64 in
   let results = Hashtbl.create 16 in
   let queue = Queue.create () in
   let enqueue node set =
-    if Array.exists Fun.id set then begin
-      let key = (node, key_of_set set) in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.replace seen key ();
-        Queue.add (node, set) queue
-      end
+    if Array.exists Fun.id set && not (Hashtbl.mem seen (node, set)) then begin
+      Hashtbl.replace seen (node, set) ();
+      Queue.add (node, set) queue
     end
   in
-  enqueue start init;
+  enqueue start (Array.init rp.n_states (fun q -> q = 0));
   while not (Queue.is_empty queue) do
     let node, set = Queue.take queue in
-    if Gql_regex.Nfa.accepts_set rp.nfa set then Hashtbl.replace results node ();
-    iter_succ node (fun next label -> enqueue next (Gql_regex.Nfa.step rp.nfa set label))
+    if Array.exists2 ( && ) set h.h_final then Hashtbl.replace results node ();
+    iter_succ node (fun next label -> enqueue next (step set label))
   done;
   Hashtbl.fold (fun n () acc -> n :: acc) results [] |> List.sort compare
 
@@ -737,18 +574,22 @@ let reachable_subset_frozen (rp : 'e t) (c : ('n, 'e) Csr.t)
     (start : Digraph.node) : Digraph.node list =
   reachable_subset_iter rp start ~iter_succ:(fun node f -> Csr.iter_succ f c node)
 
-(** Reference implementation for property tests: enumerate all simple-ish
-    paths up to [max_len] hops and check their label words against the
-    regex via naive NFA word-matching.  Exponential; small graphs only. *)
+(** Reference implementation for property tests: enumerate all paths up
+    to [max_len] hops, taking the Brzozowski derivative of the regex
+    along each, independent of any automaton.  Exponential; small graphs
+    only. *)
 let reachable_naive (pred : 'a -> 'e -> bool) (re : 'a Gql_regex.Syntax.t)
     (g : ('n, 'e) Digraph.t) (start : Digraph.node) ~max_len =
-  let nfa = Gql_regex.Nfa.compile pred re in
   let results = Hashtbl.create 16 in
-  let rec go node word len =
-    if Gql_regex.Nfa.run_list nfa (List.rev word) then
-      Hashtbl.replace results node ();
+  let rec go node r len =
+    if Gql_regex.Syntax.nullable r then Hashtbl.replace results node ();
     if len < max_len then
-      List.iter (fun (next, l) -> go next (l :: word) (len + 1)) (Digraph.succ g node)
+      List.iter
+        (fun (next, l) ->
+          match Gql_regex.Syntax.derive pred l r with
+          | Gql_regex.Syntax.Empty -> ()
+          | r' -> go next r' (len + 1))
+        (Digraph.succ g node)
   in
-  go start [] 0;
+  go start re 0;
   Hashtbl.fold (fun n () acc -> n :: acc) results [] |> List.sort compare

@@ -9,8 +9,9 @@
     literal; [\\d], [\\w], [\\s] are provided as conveniences.
 
     A pattern by default must match the whole subject ({!matches});
-    {!search} finds a match anywhere in the subject.  Matching is
-    NFA-based (linear time), never backtracking. *)
+    {!search} finds a match anywhere in the subject.  Matching simulates
+    the pattern's Glushkov automaton over position bitsets (linear time,
+    never backtracking, no allocation per byte). *)
 
 type cls =
   | Any  (** [.] — any character *)
@@ -20,8 +21,10 @@ type cls =
 type t = {
   pattern : string;
   case_insensitive : bool;
-  anchored : char Nfa.t;  (** whole-string automaton *)
-  floating : char Nfa.t;  (** [.°  re .°] automaton for {!search} *)
+  auto : cls Glushkov.t;
+  byte_mask : int array;
+      (** row [c] (at [c * words]): the positions whose class admits
+          byte [c] *)
   ast : cls Syntax.t;
 }
 
@@ -231,41 +234,53 @@ let cls_matches ~ci cls c =
 
 let compile ?(case_insensitive = false) pattern =
   let ast = parse pattern in
-  let pred cls c = cls_matches ~ci:case_insensitive cls c in
-  let anchored = Nfa.compile pred ast in
-  let dot_star = Syntax.star (Syntax.sym Any) in
-  let floating = Nfa.compile pred Syntax.(seq dot_star (seq ast dot_star)) in
-  { pattern; case_insensitive; anchored; floating; ast }
+  let auto = Glushkov.build ast in
+  let w = Glushkov.words auto in
+  let byte_mask = Array.make (256 * w) 0 in
+  for c = 0 to 255 do
+    let m = Glushkov.mask auto (fun cls -> cls_matches ~ci:case_insensitive cls (Char.chr c)) in
+    Array.blit m 0 byte_mask (c * w) w
+  done;
+  { pattern; case_insensitive; auto; byte_mask; ast }
 
 let compile_opt ?case_insensitive pattern =
   match compile ?case_insensitive pattern with
   | t -> Some t
   | exception Parse_error _ -> None
 
-let matches t subject = Nfa.run t.anchored (String.to_seq subject)
-let search t subject = Nfa.run t.floating (String.to_seq subject)
+(* Runs the automaton over [subject] in two scratch bitsets.  With
+   [floating], state 0 stays live at every byte, so a match may start
+   anywhere, and the first accepting set ends the run: the language of
+   [.° re .°] without a second automaton. *)
+let run ~floating t subject =
+  let a = t.auto and w = Glushkov.words t.auto in
+  let cur = ref (Glushkov.start_set a) and next = ref (Glushkov.empty_set a) in
+  let live = ref true and found = ref (floating && Glushkov.accepting a !cur) in
+  let i = ref 0 in
+  while !live && (not !found) && !i < String.length subject do
+    let c = Char.code (String.unsafe_get subject !i) in
+    live := Glushkov.step a !cur ~mask:t.byte_mask ~moff:(c * w) !next || floating;
+    let s = !next in
+    next := !cur;
+    cur := s;
+    if floating then begin
+      Glushkov.add s 0;
+      found := Glushkov.accepting a s
+    end;
+    incr i
+  done;
+  if floating then !found else !live && Glushkov.accepting a !cur
+
+let matches t subject = run ~floating:false t subject
+let search t subject = run ~floating:true t subject
 let pattern t = t.pattern
 let ast t = t.ast
 
-(* ------------------------------------------------------------------ *)
-(* Reference matcher (Brzozowski derivatives) — used by property tests *)
-(* to cross-check the NFA engine on random patterns and subjects.      *)
-(* ------------------------------------------------------------------ *)
-
-let rec derive ~ci c (r : cls Syntax.t) : cls Syntax.t =
-  let open Syntax in
-  match r with
-  | Empty | Eps -> Empty
-  | Sym cls -> if cls_matches ~ci cls c then Eps else Empty
-  | Seq (a, b) ->
-    let da_b = seq (derive ~ci c a) b in
-    if nullable a then alt da_b (derive ~ci c b) else da_b
-  | Alt (a, b) -> alt (derive ~ci c a) (derive ~ci c b)
-  | Star a -> seq (derive ~ci c a) (star a)
-  | Plus a -> seq (derive ~ci c a) (star a)
-  | Opt a -> derive ~ci c a
-
+(* Reference matcher (Brzozowski derivatives), used by property tests
+   to cross-check the automaton on random patterns and subjects. *)
 let matches_reference t subject =
   let r = ref t.ast in
-  String.iter (fun c -> r := derive ~ci:t.case_insensitive c !r) subject;
+  String.iter
+    (fun c -> r := Syntax.derive (cls_matches ~ci:t.case_insensitive) c !r)
+    subject;
   Syntax.nullable !r

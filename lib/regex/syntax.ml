@@ -69,6 +69,23 @@ let rec nullable = function
   | Star _ | Opt _ -> true
   | Plus r -> nullable r
 
+(** Brzozowski derivative of [r] by one token: the language of the
+    words [w] such that [tok w] is in [r], where [matches s tok] decides
+    whether symbol [s] admits [tok].  A word is accepted iff the
+    derivative by all its tokens is {!nullable}.  Independent of any
+    automaton construction, it is the reference the automata are
+    tested against. *)
+let rec derive (matches : 'a -> 'tok -> bool) (tok : 'tok) (r : 'a t) : 'a t =
+  match r with
+  | Empty | Eps -> Empty
+  | Sym s -> if matches s tok then Eps else Empty
+  | Seq (a, b) ->
+    let da_b = seq (derive matches tok a) b in
+    if nullable a then alt da_b (derive matches tok b) else da_b
+  | Alt (a, b) -> alt (derive matches tok a) (derive matches tok b)
+  | Star a | Plus a -> seq (derive matches tok a) (star a)
+  | Opt a -> derive matches tok a
+
 (** Number of AST nodes; used by tests and by the visual layer to bound
     diagram sizes. *)
 let rec size = function

@@ -34,26 +34,24 @@ type compiled = {
   pat_to_query : int array;  (** pattern node -> query node *)
   value_join_groups : int list list;
       (** pattern nodes that must agree on value *)
-  absent_checks : (int * Ast.qnode) list;
-      (** (pattern node of src, absent child spec) *)
+  absent_checks : (int * (int -> Graph.node_kind -> bool)) list;
+      (** (pattern node of src, predicate of the absent child spec) *)
   ordered_groups : (int * int list) list;
       (** (src pattern node, dst pattern nodes in pattern order) *)
-  cross_preds : (int * Ast.predicate) list;
+  cross_preds : (int * Predicate.compiled) list;
       (** non-local predicates: (query node, predicate) *)
   edge_kinds : Ast.qedge_kind list;
       (** the query-edge kind behind each element of [pattern.p_edges]
           (same order) — what the index-backed provider navigates by *)
 }
 
-let name_test_matches data test dn =
-  match Graph.label data dn with
-  | None -> false
-  | Some l -> (
-    match test with
-    | Ast.Exact n -> l = n
-    | Ast.Any_name -> true
-    | Ast.Name_re pattern ->
-      Gql_regex.Chre.matches (Predicate.compiled_regex pattern) l)
+let name_test data test : int -> bool =
+  let on_label f dn = match Graph.label data dn with Some l -> f l | None -> false in
+  match test with
+  | Ast.Exact n -> on_label (String.equal n)
+  | Ast.Any_name -> on_label (fun _ -> true)
+  | Ast.Name_re pattern ->
+    on_label (Gql_regex.Chre.matches (Gql_regex.Chre.compile pattern))
 
 (* With an index in hand, a name test is an integer compare against the
    node's interned label symbol ([Index.node_sym], -1 for atoms) — one
@@ -68,7 +66,7 @@ let name_test_sym (idx : Index.t) test : int -> bool =
     fun dn -> sym >= 0 && Index.node_sym idx dn = sym
   | Ast.Any_name -> fun dn -> Index.node_sym idx dn >= 0
   | Ast.Name_re pattern ->
-    let re = Predicate.compiled_regex pattern in
+    let re = Gql_regex.Chre.compile pattern in
     let n_syms = Gql_data.Symtab.length (Index.symtab idx) in
     let memo = Bytes.make (max 1 n_syms) '\000' in
     fun dn ->
@@ -90,33 +88,29 @@ let name_test_sym (idx : Index.t) test : int -> bool =
    accepted node set is identical either way (scan-vs-index oracle). *)
 let node_predicate ?(index : Index.t option) data (qn : Ast.qnode) :
     int -> Graph.node_kind -> bool =
-  let local_pred =
+  let local =
     match qn.q_pred with
-    | Some p when Predicate.is_local p -> Some p
+    | Some p when Predicate.is_local p ->
+      let p = Predicate.compile p in
+      Some (fun self -> p { Predicate.data; binding = [||] } ~self:(Some self))
     | Some _ | None -> None
   in
-  let check_local dn self =
-    match local_pred with
-    | None -> true
-    | Some p ->
-      ignore dn;
-      Predicate.eval { Predicate.data; binding = [||] } ~self:(Some self) p
-  in
   match qn.q_kind with
-  | Ast.Q_elem test ->
+  | Ast.Q_elem test -> (
     let name_ok : int -> bool =
       match index with
       | Some idx -> name_test_sym idx test
-      | None -> fun dn -> name_test_matches data test dn
+      | None -> name_test data test
     in
-    fun dn kind ->
-      (match kind with Graph.Complex _ -> true | Graph.Atom _ -> false)
-      && name_ok dn
-      && (local_pred = None || check_local dn (Graph.node_value data dn))
+    let is_complex = function Graph.Complex _ -> true | Graph.Atom _ -> false in
+    match local with
+    | None -> fun dn kind -> is_complex kind && name_ok dn
+    | Some holds ->
+      fun dn kind -> is_complex kind && name_ok dn && holds (Graph.node_value data dn))
   | Ast.Q_content | Ast.Q_attr ->
-    fun dn kind ->
+    fun _ kind ->
       (match kind with
-      | Graph.Atom v -> check_local dn v
+      | Graph.Atom v -> (match local with Some holds -> holds v | None -> true)
       | Graph.Complex _ -> false)
 
 let deep_path : Graph.edge Gql_graph.Regpath.t =
@@ -219,7 +213,8 @@ let compile ?(index : Index.t option) (data : Graph.t) (q : Ast.query) :
       match edge_constraint e.q_kind_e with
       | None ->
         (* Absent edge: record the child spec for post-filtering. *)
-        absent_checks := (qpos.(e.q_src), q.q_nodes.(e.q_dst)) :: !absent_checks
+        absent_checks :=
+          (qpos.(e.q_src), node_predicate data q.q_nodes.(e.q_dst)) :: !absent_checks
       | Some c ->
         let dst =
           if is_circle e.q_dst && incoming.(e.q_dst) > 1 then begin
@@ -283,7 +278,7 @@ let compile ?(index : Index.t option) (data : Graph.t) (q : Ast.query) :
     |> List.mapi (fun qid (n : Ast.qnode) -> (qid, n.q_pred))
     |> List.filter_map (fun (qid, p) ->
            match p with
-           | Some p when not (Predicate.is_local p) -> Some (qid, p)
+           | Some p when not (Predicate.is_local p) -> Some (qid, Predicate.compile p)
            | Some _ | None -> None)
   in
   {
@@ -309,7 +304,7 @@ let index_candidates (idx : Index.t) (qn : Ast.qnode) : Gql_graph.Iset.t =
   | Ast.Q_elem (Ast.Exact n) -> Index.complex_with_label idx n
   | Ast.Q_elem Ast.Any_name -> Index.all_complex idx
   | Ast.Q_elem (Ast.Name_re pattern) ->
-    let re = Predicate.compiled_regex pattern in
+    let re = Gql_regex.Chre.compile pattern in
     Index.complex_matching idx (fun l -> Gql_regex.Chre.matches re l)
   | Ast.Q_content | Ast.Q_attr -> (
     match qn.q_pred with
@@ -366,14 +361,11 @@ let embedding_ok (c : compiled) (data : Graph.t) (emb : int array) : bool =
     c.value_join_groups
   && (* absent children *)
   List.for_all
-    (fun (src_q, (spec : Ast.qnode)) ->
-      let src_dn = emb.(src_q) in
-      let matches_spec dn =
-        let kind = Graph.kind data dn in
-        node_predicate data spec dn kind
-      in
+    (fun (src_q, matches_spec) ->
       not
-        (List.exists (fun (child, _) -> matches_spec child) (Graph.children data src_dn)))
+        (List.exists
+           (fun (child, _) -> matches_spec child (Graph.kind data child))
+           (Graph.children data emb.(src_q))))
     c.absent_checks
   && (* ordered containment *)
   List.for_all
@@ -395,7 +387,7 @@ let embedding_ok (c : compiled) (data : Graph.t) (emb : int array) : bool =
     (fun (qid, p) ->
       let dn = binding.(qid) in
       let self = if dn >= 0 then Some (Graph.node_value data dn) else None in
-      Predicate.eval { Predicate.data; binding } ~self p)
+      p { Predicate.data; binding } ~self)
     c.cross_preds
 
 (** All bindings of the query in the data graph; [index] routes the

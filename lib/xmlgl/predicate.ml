@@ -41,64 +41,65 @@ let rec eval_operand env ~self (op : Ast.operand) : Value.t option =
       Value.arith o x y
     | (Some _ | None), _ -> None)
 
-(* Regex predicates are compiled once per distinct pattern and cached;
-   rules are evaluated over thousands of candidate nodes.  The cache is
-   reached from node predicates during matching, which may run on
-   several domains at once — hence the mutex (compiling under the lock
-   is fine: it happens once per distinct pattern). *)
-let regex_cache : (string, Gql_regex.Chre.t) Hashtbl.t = Hashtbl.create 16
-let regex_cache_lock = Mutex.create ()
-
-let compiled_regex pattern =
-  Mutex.protect regex_cache_lock (fun () ->
-      match Hashtbl.find_opt regex_cache pattern with
-      | Some t -> t
-      | None ->
-        let t = Gql_regex.Chre.compile pattern in
-        Hashtbl.replace regex_cache pattern t;
-        t)
+(* Substring tests compare in place and allocate nothing: they run once
+   per candidate. *)
+let sub_at ~needle hay i =
+  let nl = String.length needle in
+  i + nl <= String.length hay
+  &&
+  let k = ref 0 in
+  while !k < nl && String.unsafe_get hay (i + !k) = String.unsafe_get needle !k do
+    incr k
+  done;
+  !k = nl
 
 let contains_sub ~needle hay =
-  let hl = String.length hay and nl = String.length needle in
-  let rec find i =
-    if i + nl > hl then false
-    else if String.sub hay i nl = needle then true
-    else find (i + 1)
-  in
-  nl = 0 || find 0
+  let last = String.length hay - String.length needle in
+  let i = ref 0 in
+  while !i <= last && not (sub_at ~needle hay !i) do
+    incr i
+  done;
+  !i <= last
 
-let rec eval env ~self (p : Ast.predicate) : bool =
+type compiled = env -> self:Value.t option -> bool
+
+(** [compile p] builds [p]'s regexes once, like WG-Log conditions; the
+    result evaluates [p] against a binding and the node's own value. *)
+let rec compile (p : Ast.predicate) : compiled =
+  let on_value a f env ~self =
+    match eval_operand env ~self a with Some v -> f (Value.to_string v) | None -> false
+  in
   match p with
   | Ast.Compare (op, a, b) -> (
-    match eval_operand env ~self a, eval_operand env ~self b with
-    | Some x, Some y -> (
-      let c = Value.compare_values x y in
-      match op with
-      | Ast.Eq -> c = 0
-      | Ast.Neq -> c <> 0
-      | Ast.Lt -> c < 0
-      | Ast.Le -> c <= 0
-      | Ast.Gt -> c > 0
-      | Ast.Ge -> c >= 0)
-    | (Some _ | None), _ -> false)
-  | Ast.Contains_str (a, needle) -> (
-    match eval_operand env ~self a with
-    | Some v -> contains_sub ~needle (Value.to_string v)
-    | None -> false)
-  | Ast.Starts_with (a, prefix) -> (
-    match eval_operand env ~self a with
-    | Some v ->
-      let s = Value.to_string v in
-      String.length prefix <= String.length s
-      && String.sub s 0 (String.length prefix) = prefix
-    | None -> false)
-  | Ast.Matches (a, pattern) -> (
-    match eval_operand env ~self a with
-    | Some v -> Gql_regex.Chre.search (compiled_regex pattern) (Value.to_string v)
-    | None -> false)
-  | Ast.And (a, b) -> eval env ~self a && eval env ~self b
-  | Ast.Or (a, b) -> eval env ~self a || eval env ~self b
-  | Ast.Not a -> not (eval env ~self a)
+    fun env ~self ->
+      match eval_operand env ~self a, eval_operand env ~self b with
+      | Some x, Some y -> (
+        let c = Value.compare_values x y in
+        match op with
+        | Ast.Eq -> c = 0
+        | Ast.Neq -> c <> 0
+        | Ast.Lt -> c < 0
+        | Ast.Le -> c <= 0
+        | Ast.Gt -> c > 0
+        | Ast.Ge -> c >= 0)
+      | (Some _ | None), _ -> false)
+  | Ast.Contains_str (a, needle) -> on_value a (contains_sub ~needle)
+  | Ast.Starts_with (a, prefix) -> on_value a (fun s -> sub_at ~needle:prefix s 0)
+  | Ast.Matches (a, pattern) ->
+    on_value a (Gql_regex.Chre.search (Gql_regex.Chre.compile pattern))
+  | Ast.And (a, b) ->
+    let a = compile a and b = compile b in
+    fun env ~self -> a env ~self && b env ~self
+  | Ast.Or (a, b) ->
+    let a = compile a and b = compile b in
+    fun env ~self -> a env ~self || b env ~self
+  | Ast.Not a ->
+    let a = compile a in
+    fun env ~self -> not (a env ~self)
+
+(** One-shot evaluation; callers that test many candidates {!compile}
+    once instead. *)
+let eval env ~self p = compile p env ~self
 
 (** Does the predicate only depend on the node itself (no cross-node
     references)?  Such predicates are pushed into candidate selection. *)

@@ -1,6 +1,6 @@
-(* Tests for Gql_regex: syntax algebra, the NFA engine, the char-regex
-   front-end (cross-checked against the derivative matcher) and Glushkov
-   automata for DTD content models. *)
+(* Tests for Gql_regex: syntax algebra, the char-regex front-end on
+   Glushkov position bitsets (cross-checked against the derivative
+   matcher) and Glushkov automata for DTD content models. *)
 
 open Gql_regex
 
@@ -119,6 +119,11 @@ let test_bounded_repetition () =
   check "zero min" true (m "a{0,2}b" "b");
   check "group bound" true (m "(ab){2}" "abab");
   check "bound then more" true (m "a{2}b+" "aabbb");
+  (* 80 positions: the state set crosses a bitset word boundary *)
+  let ab n = String.concat "" (List.init n (fun _ -> "ab")) in
+  check "80 positions" true (m "(ab){40}" (ab 40));
+  check "80 positions short" false (m "(ab){40}" (ab 39));
+  check "80 positions search" true (srch "(ab){40}c" ("x" ^ ab 41 ^ "cy"));
   let bad p =
     match Chre.compile p with
     | _ -> false
@@ -143,7 +148,7 @@ let test_parse_errors () =
   check "compile_opt none" true (Chre.compile_opt "(" = None);
   check "compile_opt some" true (Chre.compile_opt "a" <> None)
 
-(* Property: the NFA engine agrees with the Brzozowski-derivative
+(* Property: the automaton agrees with the Brzozowski-derivative
    reference on random patterns and subjects. *)
 let pattern_gen =
   (* Random well-formed patterns over a tiny alphabet. *)
@@ -181,6 +186,81 @@ let prop_nullable_matches_empty =
     (fun pat ->
       let t = Chre.compile pat in
       Chre.matches t "" = Syntax.nullable (Chre.ast t))
+
+(* Search finds a match anywhere: the reference tries every substring. *)
+let search_reference t subject =
+  let n = String.length subject in
+  List.exists
+    (fun i ->
+      List.exists
+        (fun j -> Chre.matches_reference t (String.sub subject i (j - i)))
+        (List.init (n - i + 1) (fun k -> i + k)))
+    (List.init (n + 1) Fun.id)
+
+let prop_search_vs_substrings =
+  QCheck.Test.make ~name:"search agrees with derivative on substrings" ~count:500
+    (QCheck.make (QCheck.Gen.pair pattern_gen subject_gen))
+    (fun (pat, subject) ->
+      let t = Chre.compile pat in
+      Chre.search t subject = search_reference t subject)
+
+(* More than 62 positions: state sets span several bitset words.  Each
+   random piece is optional and followed by a 2-position star, so there
+   are at least 96 positions and random subjects often match.
+   Derivatives of such patterns grow exponentially unless unions are
+   kept as sets, so this reference normalises every derivative modulo
+   associativity, commutativity and idempotence of [|], and searches by
+   deriving [.° re .°] once instead of trying every substring. *)
+let rec aci (r : Chre.cls Syntax.t) =
+  let open Syntax in
+  let rec alts acc = function Alt (a, b) -> alts (alts acc a) b | r -> aci r :: acc in
+  match r with
+  | Empty | Eps | Sym _ -> r
+  | Alt _ -> List.fold_left alt empty (List.sort_uniq compare (alts [] r))
+  | Seq (a, b) -> seq (aci a) (aci b)
+  | Star a -> star (aci a)
+  | Plus a -> plus (aci a)
+  | Opt a -> opt (aci a)
+
+let derives_aci r subject =
+  let r = ref r in
+  String.iter
+    (fun c -> r := aci (Syntax.derive (Chre.cls_matches ~ci:false) c !r))
+    subject;
+  Syntax.nullable !r
+
+let long_pattern_gen =
+  QCheck.Gen.(
+    map (fun ps -> String.concat "" (List.map (fun p -> "(" ^ p ^ ")?(a|b)*") ps))
+      (list_repeat 32 pattern_gen))
+
+let prop_long_patterns =
+  QCheck.Test.make ~name:"long patterns agree with derivative" ~count:100
+    (QCheck.make
+       QCheck.Gen.(pair long_pattern_gen (string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_bound 40))))
+    (fun (pat, subject) ->
+      let t = Chre.compile pat in
+      let dot_star = Syntax.star (Syntax.sym Chre.Any) in
+      List.length (Syntax.symbols (Chre.ast t)) > 62
+      && Chre.matches t subject = derives_aci (Chre.ast t) subject
+      && Chre.search t subject
+         = derives_aci Syntax.(seq dot_star (seq (Chre.ast t) dot_star)) subject)
+
+(* A run allocates its two scratch bitsets up front and nothing per
+   byte: the minor words of a search are the same at 1 kB and 10 kB. *)
+let test_no_allocation_per_byte () =
+  let t = Chre.compile "(ab|cd)*e[0-9]+" in
+  let words subject =
+    let before = Gc.minor_words () in
+    let hit = Chre.search t subject && Chre.matches t subject in
+    let after = Gc.minor_words () in
+    check "no match" false hit;
+    after -. before
+  in
+  let subject n = String.init n (fun i -> if i mod 2 = 0 then 'a' else 'b') in
+  ignore (words (subject 10));
+  Alcotest.(check (float 0.)) "1 kB = 10 kB" (words (subject 1_000))
+    (words (subject 10_000))
 
 (* --- Glushkov --------------------------------------------------------- *)
 
@@ -221,7 +301,8 @@ let test_glushkov_expected_first () =
     "first symbols" [ "title"; "price" ]
     (Glushkov.expected_first auto)
 
-(* Property: Glushkov acceptance agrees with NFA word acceptance. *)
+(* Property: Glushkov acceptance agrees with the derivative of the
+   expression by the word. *)
 let symre_gen =
   let open QCheck.Gen in
   let syms = [ "a"; "b"; "c" ] in
@@ -242,13 +323,13 @@ let symre_gen =
 
 let word_gen = QCheck.Gen.(list_size (int_bound 6) (oneofl [ "a"; "b"; "c" ]))
 
-let prop_glushkov_vs_nfa =
-  QCheck.Test.make ~name:"glushkov agrees with thompson nfa" ~count:500
+let prop_glushkov_vs_derivative =
+  QCheck.Test.make ~name:"glushkov agrees with derivative matcher" ~count:500
     (QCheck.make (QCheck.Gen.pair symre_gen word_gen))
     (fun (re, word) ->
       let auto = Glushkov.build re in
-      let nfa = Nfa.compile (fun s tok -> s = tok) re in
-      Glushkov.accepts auto word = Nfa.run_list nfa word)
+      Glushkov.accepts auto word
+      = Syntax.nullable (List.fold_left (fun r tok -> Syntax.derive ( = ) tok r) re word))
 
 let () =
   Alcotest.run "gql_regex"
@@ -271,6 +352,8 @@ let () =
           Alcotest.test_case "search" `Quick test_search;
           Alcotest.test_case "case insensitive" `Quick test_case_insensitive;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "no allocation per byte" `Quick
+            test_no_allocation_per_byte;
         ] );
       ( "glushkov",
         [
@@ -283,7 +366,9 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_nfa_vs_derivative;
           QCheck_alcotest.to_alcotest prop_nullable_matches_empty;
-          QCheck_alcotest.to_alcotest prop_glushkov_vs_nfa;
+          QCheck_alcotest.to_alcotest prop_glushkov_vs_derivative;
+          QCheck_alcotest.to_alcotest prop_search_vs_substrings;
+          QCheck_alcotest.to_alcotest prop_long_patterns;
         ] );
     ]
 

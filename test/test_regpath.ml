@@ -43,6 +43,22 @@ let plane_of g intern =
 
 (* --- automaton edge cases ---------------------------------------------- *)
 
+(* Positions, not Thompson states: [next+] has states {start, x}, so a
+   1000-node chain pushes one (node, state) pair per node.  The peak is
+   a process-wide high-water mark, so this runs before any larger
+   search in the suite. *)
+let test_one_pair_per_node () =
+  let n = 1000 in
+  let chain =
+    build (List.init n string_of_int) (List.init (n - 1) (fun i -> (i, "x", i + 1)))
+  in
+  let rp = compile_lbl Gql_regex.Syntax.(plus (sym "x")) in
+  let before = Regpath.stats () in
+  check_list "whole chain" (List.init (n - 1) (fun i -> i + 1))
+    (Regpath.reachable rp chain 0);
+  let d = Regpath.stats_diff ~before (Regpath.stats ()) in
+  Alcotest.(check int) "frontier peak" n d.Regpath.frontier_peak
+
 let test_empty_language () =
   let g = build [ "a"; "b" ] [ (0, "x", 1) ] in
   let rp = compile_lbl Gql_regex.Syntax.Empty in
@@ -186,20 +202,24 @@ let graph_gen =
     let* edges = list_size (return m) edge in
     return (n, edges))
 
+(* Raw constructors, so [Eps], [Empty], [Opt] and nested stars reach
+   the automaton without the smart constructors folding them away. *)
 let re_gen =
   let open QCheck.Gen in
+  let module S = Gql_regex.Syntax in
   let sym = oneofl [ "x"; "y"; "z" ] in
   let rec gen d =
-    if d = 0 then map Gql_regex.Syntax.sym sym
+    if d = 0 then
+      frequency [ (6, map S.sym sym); (1, return S.Eps); (1, return S.Empty) ]
     else
       frequency
         [
           (3, gen 0);
-          (2, map2 Gql_regex.Syntax.seq (gen (d - 1)) (gen (d - 1)));
-          (2, map2 Gql_regex.Syntax.alt (gen (d - 1)) (gen (d - 1)));
-          (2, map Gql_regex.Syntax.star (gen (d - 1)));
-          (2, map Gql_regex.Syntax.plus (gen (d - 1)));
-          (1, map Gql_regex.Syntax.opt (gen (d - 1)));
+          (2, map2 (fun a b -> S.Seq (a, b)) (gen (d - 1)) (gen (d - 1)));
+          (2, map2 (fun a b -> S.Alt (a, b)) (gen (d - 1)) (gen (d - 1)));
+          (2, map (fun a -> S.Star a) (gen (d - 1)));
+          (2, map (fun a -> S.Plus a) (gen (d - 1)));
+          (1, map (fun a -> S.Opt a) (gen (d - 1)));
         ]
   in
   gen 3
@@ -315,6 +335,7 @@ let () =
     [
       ( "edge cases",
         [
+          Alcotest.test_case "one pair per node" `Quick test_one_pair_per_node;
           Alcotest.test_case "empty language" `Quick test_empty_language;
           Alcotest.test_case "ε-accepting start" `Quick test_eps_accepting_start;
           Alcotest.test_case "self-loops" `Quick test_self_loop;

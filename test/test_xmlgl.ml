@@ -532,6 +532,24 @@ let test_predicate_units () =
   check "missing self is non-match" false
     (Predicate.eval env ~self:None (Ast.Compare (Ast.Eq, Ast.Self, Ast.Self)))
 
+(* Substring predicates compare in place at every offset. *)
+let test_string_predicates () =
+  let env = { Predicate.data = people; binding = [||] } in
+  let on subject p = Predicate.eval env ~self:(Some (Gql_data.Value.string subject)) p in
+  let contains s needle = on s (Ast.Contains_str (Ast.Self, needle)) in
+  let starts s prefix = on s (Ast.Starts_with (Ast.Self, prefix)) in
+  check "empty needle" true (contains "abc" "");
+  check "empty needle, empty subject" true (contains "" "");
+  check "needle longer than subject" false (contains "ab" "abc");
+  check "match at the last offset" true (contains "abcd" "cd");
+  check "whole subject" true (contains "abcd" "abcd");
+  check "no match" false (contains "abcabd" "abe");
+  check "near miss at the end" false (contains "abcd" "ce");
+  check "empty prefix" true (starts "abc" "");
+  check "prefix longer than subject" false (starts "ab" "abc");
+  check "prefix" true (starts "abc" "ab");
+  check "not a prefix" false (starts "abc" "bc")
+
 let test_result_document_order () =
   (* construction instances follow match (document) order: a query over
      ordered siblings must emit them in that order *)
@@ -671,6 +689,7 @@ let () =
           Alcotest.test_case "construct edge cases" `Quick test_construct_edge_cases;
           Alcotest.test_case "multiple roots" `Quick test_multiple_roots_order;
           Alcotest.test_case "predicate units" `Quick test_predicate_units;
+          Alcotest.test_case "string predicates" `Quick test_string_predicates;
           Alcotest.test_case "result document order" `Quick test_result_document_order;
           Alcotest.test_case "aggregates" `Quick test_aggregates;
           Alcotest.test_case "aggregate empty" `Quick test_aggregate_empty;
