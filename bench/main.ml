@@ -1377,11 +1377,11 @@ let micro () =
 let e17 () =
   header "E17  snapshot store: mapped load vs re-freezing the index";
   row
-    "(save serialises the frozen planes once; load maps the file back,\n\
-    \ blitting the hot planes and wiring the cold lanes and the mutable\n\
-    \ graph lazily.  'refreeze' is Index.build on the in-memory graph —\n\
+    "(save writes the frozen planes once; load maps the file back and\n\
+    \ blits every plane, leaving only the mutable graph lazy.\n\
+    \ 'refreeze' is Index.build on the in-memory graph —\n\
     \ what a process start pays without the store; 'validate' is the\n\
-    \ zero-copy open that checks every checksum without materialising;\n\
+    \ open that checks every checksum without building an index;\n\
     \ 'thaw' is the lazy Digraph force the first scan-route query pays.\n\
     \ ident compares a q13-style goal digest frozen-vs-loaded; speedup\n\
     \ is refreeze/load on min_ms.)\n";

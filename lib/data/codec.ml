@@ -190,11 +190,3 @@ let decode (t : Graph.t) (n : Graph.node) : Gql_xml.Tree.element =
     in
     go2 n
   end
-
-let decode_roots (t : Graph.t) ~(wrapper : string) : Gql_xml.Tree.element =
-  {
-    Gql_xml.Tree.name = wrapper;
-    attrs = [];
-    children =
-      List.map (fun r -> Gql_xml.Tree.Element (decode t r)) (Graph.roots t);
-  }

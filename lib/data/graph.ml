@@ -190,11 +190,6 @@ let descendants t n =
   in
   List.filter (fun m -> m <> n) order
 
-let pp_node t n =
-  match kind t n with
-  | Complex l -> Printf.sprintf "%s#%d" l n
-  | Atom v -> Printf.sprintf "%S#%d" (Value.to_string v) n
-
 let pp_edge e =
   let k =
     match e.kind with

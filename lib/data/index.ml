@@ -5,14 +5,14 @@
     {!Symtab}, and derives the access paths every engine's matcher wants
     instead of whole-graph scans:
 
-    - [by_label]: label symbol -> complex nodes ({!Gql_graph.Iset.t}),
-      the entry point for typed pattern nodes;
-    - [by_value]: normalised atom value -> atom nodes, for constant
-      rectangles and value point-lookups (normalisation follows
-      [Value.compare_values]: numeric when the value coerces, textual
-      otherwise, so ["12"], [12] and [12.0] share a bucket);
+    - [by_label]: label symbol -> complex nodes, the entry point for
+      typed pattern nodes;
+    - [by_number] / [by_string]: normalised atom value -> atom nodes,
+      for constant rectangles and value point-lookups (normalisation
+      follows [Value.compare_values]: numeric when the value coerces,
+      textual otherwise, so ["12"], [12] and [12.0] share a bucket);
     - per-node adjacency partitioned by edge-name symbol ([out_named] /
-      [in_named]), by [Attribute] kind and name ([attr_named]), by
+      [in_named]), by [Attribute] kind and name ([attr_named_sym]), by
       [Child] kind ([children] / [parents]) and by [Ref]/[Rel] kind
       ([ref_succ] / [ref_pred]), so a labelled edge constraint
       enumerates only matching neighbours;
@@ -22,11 +22,16 @@
       ([Csr.set_node_syms]), so "is this node labelled X?" is one
       integer compare against a symbol resolved once per query.
 
-    All posting sets are sorted ascending and duplicate-free, which
-    makes the indexed matcher enumerate embeddings in exactly the order
-    of the scan-based one.  Per-node name-partitioned adjacency is keyed
-    by the single integer [node * stride + name_sym], so a lookup hashes
-    one immediate int and allocates nothing.
+    Every map has one representation, the flat planes a {!Store}
+    snapshot file holds: a sorted key array, an offset array and one
+    pool of postings.  [build] writes them straight from the CSR slices
+    with counting sorts, [Store.save] writes the fields as they are and
+    [Store.load] validates and blits them back.  Every posting set is
+    sorted ascending and duplicate-free, which makes the indexed matcher
+    enumerate embeddings in exactly the order of the scan-based one.
+    Per-node name-partitioned adjacency is keyed by the single integer
+    [node * stride + name_sym], so a lookup is one binary search over
+    immediate ints.
 
     Symbols are snapshot-local: ids from one build must never be
     compared with ids (or used against postings) of another.  The index
@@ -36,105 +41,57 @@
 
 module Iset = Gql_graph.Iset
 
-type vkey =
-  | Num of float
-  | Str of string
+(** Sets laid end to end: set [i] is [pool.(off.(i)) .. pool.(off.(i + 1) - 1)],
+    sorted and duplicate-free. *)
+type sets = { off : int array; pool : int array }
 
-(** The bucket key of a value, consistent with [Value.equal_values]. *)
-let vkey (v : Value.t) : vkey =
-  match Value.as_number v with
-  | Some f -> Num f
-  | None -> Str (Value.to_string v)
+(** A posting map: the set under [keys.(i)] (keys strictly ascending)
+    is set [i] of [sets]. *)
+type 'k postings = { keys : 'k array; sets : sets }
 
-(* Posting maps come in two representations behind one accessor set:
-   indexes built in memory keep the hashtables the build pass filled
-   (hot path unchanged); indexes loaded from a snapshot file keep the
-   file's flat planes — sorted key array, offset array, one shared pool
-   of postings — and slice sets out on demand, so loading costs three
-   blits per map instead of millions of hashtable inserts. *)
-type postings =
-  | P_tbl of (int, Iset.t) Hashtbl.t
-  | P_flat of { keys : int array;  (** sorted ascending *)
-                off : int array;  (** length [|keys| + 1] *)
-                pool : int array }
+(* Most per-node sets hold one or two members; an array literal
+   allocates them inline, where [Array.sub] is a C call. *)
+let slice (s : sets) i : Iset.t =
+  let lo = s.off.(i) in
+  match s.off.(i + 1) - lo with
+  | 0 -> Iset.empty
+  | 1 -> [| s.pool.(lo) |]
+  | 2 -> [| s.pool.(lo); s.pool.(lo + 1) |]
+  | len -> Iset.unsafe_of_sorted_array (Array.sub s.pool lo len)
+
+(* Membership answers straight off the pool, so link tests stay
+   allocation-free. *)
+let slice_mem (s : sets) i v : bool =
+  Iset.mem_range s.pool ~lo:s.off.(i) ~hi:s.off.(i + 1) v
 
 (* Rank of [key] in the sorted key array, or -1 when absent. *)
 let p_rank (keys : int array) key =
   let lo = ref 0 and hi = ref (Array.length keys) in
   while !lo < !hi do
     let mid = !lo + ((!hi - !lo) / 2) in
-    if keys.(mid) < key then lo := mid + 1 else hi := mid
+    if Array.unsafe_get keys mid < key then lo := mid + 1 else hi := mid
   done;
   if !lo < Array.length keys && keys.(!lo) = key then !lo else -1
 
-let p_find p key : Iset.t =
-  match p with
-  | P_tbl h -> Option.value (Hashtbl.find_opt h key) ~default:Iset.empty
-  | P_flat f ->
-    let i = p_rank f.keys key in
-    if i < 0 then Iset.empty
-    else
-      Iset.unsafe_of_sorted_array
-        (Array.sub f.pool f.off.(i) (f.off.(i + 1) - f.off.(i)))
+let p_find (p : int postings) key : Iset.t =
+  let i = p_rank p.keys key in
+  if i < 0 then Iset.empty else slice p.sets i
 
-(* Membership without materialising the posting set — flat maps answer
-   straight off the pool, so link tests stay allocation-free. *)
-let p_mem p key v : bool =
-  match p with
-  | P_tbl h -> (
-    match Hashtbl.find_opt h key with
-    | None -> false
-    | Some s -> Iset.mem s v)
-  | P_flat f ->
-    let i = p_rank f.keys key in
-    i >= 0 && Iset.mem_range f.pool ~lo:f.off.(i) ~hi:f.off.(i + 1) v
+let p_mem (p : int postings) key v : bool =
+  let i = p_rank p.keys key in
+  i >= 0 && slice_mem p.sets i v
 
-let p_fold (f : int -> Iset.t -> 'a -> 'a) p acc : 'a =
-  match p with
-  | P_tbl h -> Hashtbl.fold f h acc
-  | P_flat fl ->
-    let acc = ref acc in
-    for i = 0 to Array.length fl.keys - 1 do
-      acc :=
-        f fl.keys.(i)
-          (Iset.unsafe_of_sorted_array
-             (Array.sub fl.pool fl.off.(i) (fl.off.(i + 1) - fl.off.(i))))
-          !acc
-    done;
-    !acc
-
-(* Dense per-node set planes (children/parents/refs), same two shapes:
-   an array of sets when built, offsets + pool when loaded. *)
-type dense =
-  | D_arr of Iset.t array
-  | D_flat of { off : int array; pool : int array }
-
-let d_get d n : Iset.t =
-  match d with
-  | D_arr a -> a.(n)
-  | D_flat f ->
-    Iset.unsafe_of_sorted_array
-      (Array.sub f.pool f.off.(n) (f.off.(n + 1) - f.off.(n)))
-
-let d_mem d n v : bool =
-  match d with
-  | D_arr a -> Iset.mem a.(n) v
-  | D_flat f -> Iset.mem_range f.pool ~lo:f.off.(n) ~hi:f.off.(n + 1) v
-
-(* Cold derived tables a loaded snapshot materialises on first demand
-   (under [path_lock]); built indexes start in the ready state. *)
-type vtbl =
-  | V_ready of (vkey, Iset.t) Hashtbl.t
-  | V_lazy of (unit -> (vkey, Iset.t) Hashtbl.t)
-
-type etbl =
-  | E_ready of (int, (int * int) array) Hashtbl.t
-  | E_lazy of {
-      counts : (int * int) array;
-          (** (name sym, edge count) sorted by sym — answers the
-              planner's cardinality probes without materialising *)
-      mk : unit -> (int, (int * int) array) Hashtbl.t;
-    }
+(* The value planes' lookup: the same search under the order their keys
+   are sorted by. *)
+let v_find cmp (p : 'k postings) key : Iset.t =
+  let lo = ref 0 and hi = ref (Array.length p.keys) in
+  while !lo < !hi do
+    let mid = !lo + ((!hi - !lo) / 2) in
+    if cmp p.keys.(mid) key < 0 then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length p.keys && cmp p.keys.(!lo) key = 0 then
+    slice p.sets !lo
+  else Iset.empty
 
 type t = {
   data : Graph.t;
@@ -142,18 +99,21 @@ type t = {
   version : int * int;  (** (n_nodes, n_edges) at build time *)
   symtab : Symtab.t;
   stride : int;  (** symtab length at build end; adjacency key stride *)
-  by_label : postings;  (** label sym -> complex nodes *)
-  mutable by_value : vtbl;
+  by_label : int postings;  (** label sym -> complex nodes *)
+  by_number : float postings;  (** numeric value, [Float.compare] order *)
+  by_string : string postings;  (** textual value, [String.compare] order *)
   all_complex : Iset.t;
   all_atoms : Iset.t;
-  out_by_name : postings;  (** node * stride + name sym *)
-  in_by_name : postings;
-  attr_out : postings;
-  child_out : dense;
-  child_in : dense;
-  ref_out : dense;
-  ref_in : dense;
-  mutable edges_by_name : etbl;  (** name sym *)
+  out_by_name : int postings;  (** node * stride + name sym *)
+  in_by_name : int postings;
+  attr_out : int postings;
+  child_out : sets;  (** set [n]: node [n]'s neighbours *)
+  child_in : sets;
+  ref_out : sets;
+  ref_in : sets;
+  edges_by_name : int postings;
+      (** name sym -> (src, dst) pairs sorted ascending, interleaved in
+          the pool (parallel edges repeat a pair) *)
   (* Regular-path engine state, all lazy and mutex-guarded (the serve
      pool shares one snapshot across worker domains): per-lane edge-sym
      planes aligned with the CSR out/in slices, per-automaton
@@ -166,103 +126,181 @@ type t = {
   path_memo : (int * int * int, Iset.t) Hashtbl.t;  (** uid, dir, node *)
 }
 
+(* --- build ------------------------------------------------------------ *)
+
+(* Stable counting sort of [ids] by [key id] in [0, range): the sorted
+   ids, and the offset where each key's run starts (length [range + 1]). *)
+let counting_sort ~range key ids : int array * int array =
+  let off = Array.make (range + 1) 0 in
+  Array.iter (fun e -> let k = key e + 1 in off.(k) <- off.(k) + 1) ids;
+  for k = 1 to range do
+    off.(k) <- off.(k) + off.(k - 1)
+  done;
+  let fill = Array.sub off 0 range in
+  let out = Array.make (Array.length ids) 0 in
+  Array.iter
+    (fun e ->
+      let k = key e in
+      out.(fill.(k)) <- e;
+      fill.(k) <- fill.(k) + 1)
+    ids;
+  (out, off)
+
+(* Postings over keys [0, range) from per-key run offsets, keeping the
+   non-empty keys. *)
+let of_runs (off : int array) pool : int postings =
+  let range = Array.length off - 1 in
+  let keys =
+    Array.of_seq
+      (Seq.filter (fun k -> off.(k + 1) > off.(k)) (Seq.init range Fun.id))
+  in
+  let starts = Array.map (fun k -> off.(k)) keys in
+  { keys; sets = { off = Array.append starts [| off.(range) |]; pool } }
+
+(* Postings from [ids] sorted by ([key], [value]), keeping the ids that
+   pass [keep]: one entry per distinct key, its values deduplicated. *)
+let group ids ~keep ~key ~value : int postings =
+  let m = Array.length ids in
+  let keys = Array.make m 0 and off = Array.make (m + 1) 0 in
+  let pool = Array.make m 0 in
+  let nk = ref 0 and w = ref 0 in
+  Array.iter
+    (fun e ->
+      if keep e then begin
+        let k = key e and v = value e in
+        let fresh = !nk = 0 || keys.(!nk - 1) <> k in
+        if fresh then begin
+          keys.(!nk) <- k;
+          off.(!nk) <- !w;
+          incr nk
+        end;
+        if fresh || pool.(!w - 1) <> v then begin
+          pool.(!w) <- v;
+          incr w
+        end
+      end)
+    ids;
+  off.(!nk) <- !w;
+  {
+    keys = Array.sub keys 0 !nk;
+    sets = { off = Array.sub off 0 (!nk + 1); pool = Array.sub pool 0 !w };
+  }
+
+(* A per-node plane from postings keyed by node. *)
+let dense_of n (p : int postings) : sets =
+  let off = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun i k -> off.(k + 1) <- p.sets.off.(i + 1) - p.sets.off.(i))
+    p.keys;
+  for i = 1 to n do
+    off.(i) <- off.(i) + off.(i - 1)
+  done;
+  { off; pool = p.sets.pool }
+
+(* Value postings from (key, node) items in ascending node order.  A
+   bucket's written key is its highest node's: keys equal under [cmp]
+   may still differ in bits ([0.0] and [-0.0]), and snapshot files have
+   always recorded that one. *)
+let value_postings cmp (items : ('k * int) array) : 'k postings =
+  Array.stable_sort (fun (a, _) (b, _) -> cmp a b) items;
+  let k = Array.length items in
+  let keys = ref [] and starts = ref [ k ] in
+  for i = k - 1 downto 0 do
+    let key = fst items.(i) in
+    if i = k - 1 || cmp key (fst items.(i + 1)) <> 0 then keys := key :: !keys;
+    if i = 0 || cmp (fst items.(i - 1)) key <> 0 then starts := i :: !starts
+  done;
+  {
+    keys = Array.of_list !keys;
+    sets = { off = Array.of_list !starts; pool = Array.map snd items };
+  }
+
 let build (data : Graph.t) : t =
   let csr = Gql_graph.Csr.freeze (Graph.digraph data) in
   let n = Gql_graph.Csr.n_nodes csr in
+  let m = Gql_graph.Csr.n_edges csr in
   let symtab = Symtab.create () in
-  let by_label_l : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  let by_value_l : (vkey, int list ref) Hashtbl.t = Hashtbl.create 256 in
   let complex_l = ref [] and atoms_l = ref [] in
+  let nums = ref [] and strs = ref [] in
   let node_syms = Array.make n (-1) in
-  let bucket tbl key v =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r := v :: !r
-    | None -> Hashtbl.replace tbl key (ref [ v ])
-  in
+  (* labels first, highest node first, then edge names in CSR order:
+     the symbol ids a snapshot file records *)
   for i = n - 1 downto 0 do
     match Gql_graph.Csr.payload csr i with
     | Graph.Complex l ->
-      let sym = Symtab.intern symtab l in
-      node_syms.(i) <- sym;
-      bucket by_label_l sym i;
+      node_syms.(i) <- Symtab.intern symtab l;
       complex_l := i :: !complex_l
     | Graph.Atom v ->
-      bucket by_value_l (vkey v) i;
+      (match Value.as_number v with
+      | Some f -> nums := (f, i) :: !nums
+      | None -> strs := (Value.to_string v, i) :: !strs);
       atoms_l := i :: !atoms_l
   done;
   Gql_graph.Csr.set_node_syms csr node_syms;
-  (* Adjacency accumulation keyed by (node, name sym) tuples; re-keyed
-     below to [node * stride + sym] once the symbol table is final. *)
-  let out_name_l : (int * int, int list ref) Hashtbl.t = Hashtbl.create (4 * n) in
-  let in_name_l : (int * int, int list ref) Hashtbl.t = Hashtbl.create (4 * n) in
-  let attr_l : (int * int, int list ref) Hashtbl.t = Hashtbl.create n in
-  let edges_name_l : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 64 in
-  let child_out_l = Array.make n [] and child_in_l = Array.make n [] in
-  let ref_out_l = Array.make n [] and ref_in_l = Array.make n [] in
-  Gql_graph.Csr.iter_edges
-    (fun ~src ~dst (e : Graph.edge) ->
-      let nsym = Symtab.intern symtab e.Graph.name in
-      bucket out_name_l (src, nsym) dst;
-      bucket in_name_l (dst, nsym) src;
-      bucket edges_name_l nsym (src, dst);
-      match e.Graph.kind with
-      | Graph.Child ->
-        child_out_l.(src) <- dst :: child_out_l.(src);
-        child_in_l.(dst) <- src :: child_in_l.(dst)
-      | Graph.Attribute -> bucket attr_l (src, nsym) dst
-      | Graph.Ref | Graph.Rel ->
-        ref_out_l.(src) <- dst :: ref_out_l.(src);
-        ref_in_l.(dst) <- src :: ref_in_l.(dst))
-    csr;
+  let out_off = csr.Gql_graph.Csr.out_off and dst = csr.Gql_graph.Csr.out_dst in
+  let lab = csr.Gql_graph.Csr.out_lab in
+  let sym =
+    Array.map (fun (e : Graph.edge) -> Symtab.intern symtab e.Graph.name) lab
+  in
+  let src = Array.make m 0 in
+  for s = 0 to n - 1 do
+    Array.fill src out_off.(s) (out_off.(s + 1) - out_off.(s)) s
+  done;
   let stride = max 1 (Symtab.length symtab) in
-  let finish_syms tbl src =
-    (* node-label buckets: one entry per node, no duplicates possible *)
-    Hashtbl.iter
-      (fun key r -> Hashtbl.replace tbl key (Iset.of_array (Array.of_list !r)))
-      src;
-    tbl
+  let src_of e = src.(e) and dst_of e = dst.(e) and sym_of e = sym.(e) in
+  let all_complex = Array.of_list !complex_l in
+  let by_node, label_runs =
+    counting_sort ~range:stride (fun i -> node_syms.(i)) all_complex
   in
-  let finish_adj src =
-    (* parallel edges can repeat a neighbour; [Iset.of_array] dedups *)
-    let out = Hashtbl.create (Hashtbl.length src) in
-    Hashtbl.iter
-      (fun (node, nsym) r ->
-        Hashtbl.replace out ((node * stride) + nsym)
-          (Iset.of_array (Array.of_list !r)))
-      src;
-    out
+  (* Edge ids are out-CSR positions.  Stable counting sorts order them
+     by (dst, src), then (src, dst), then (name, src, dst), and from
+     there by (src, name, dst) and (dst, name, src). *)
+  let by_dst, _ = counting_sort ~range:n dst_of (Array.init m Fun.id) in
+  let by_src, _ = counting_sort ~range:n src_of by_dst in
+  let by_name, name_runs = counting_sort ~range:stride sym_of by_src in
+  let out_order, _ = counting_sort ~range:n src_of by_name in
+  let in_order, _ = counting_sort ~range:n dst_of by_name in
+  let any _ = true in
+  let child e = match lab.(e).Graph.kind with Graph.Child -> true | _ -> false in
+  let refs e =
+    match lab.(e).Graph.kind with Graph.Ref | Graph.Rel -> true | _ -> false
   in
-  let adj_sets l = Array.map (fun lst -> Iset.of_array (Array.of_list lst)) l in
+  let attr e =
+    match lab.(e).Graph.kind with Graph.Attribute -> true | _ -> false
+  in
+  let out_key e = (src.(e) * stride) + sym.(e) in
+  let in_key e = (dst.(e) * stride) + sym.(e) in
+  let names = of_runs name_runs by_name in
   {
     data;
     csr;
     version = (Graph.n_nodes data, Graph.n_edges data);
     symtab;
     stride;
-    by_label =
-      P_tbl (finish_syms (Hashtbl.create (Hashtbl.length by_label_l)) by_label_l);
-    by_value =
-      V_ready
-        (finish_syms (Hashtbl.create (Hashtbl.length by_value_l)) by_value_l);
-    all_complex = Iset.unsafe_of_sorted_array (Array.of_list !complex_l);
+    by_label = of_runs label_runs by_node;
+    by_number = value_postings Float.compare (Array.of_list !nums);
+    by_string = value_postings String.compare (Array.of_list !strs);
+    all_complex = Iset.unsafe_of_sorted_array all_complex;
     all_atoms = Iset.unsafe_of_sorted_array (Array.of_list !atoms_l);
-    out_by_name = P_tbl (finish_adj out_name_l);
-    in_by_name = P_tbl (finish_adj in_name_l);
-    attr_out = P_tbl (finish_adj attr_l);
-    child_out = D_arr (adj_sets child_out_l);
-    child_in = D_arr (adj_sets child_in_l);
-    ref_out = D_arr (adj_sets ref_out_l);
-    ref_in = D_arr (adj_sets ref_in_l);
+    out_by_name = group out_order ~keep:any ~key:out_key ~value:dst_of;
+    in_by_name = group in_order ~keep:any ~key:in_key ~value:src_of;
+    attr_out = group out_order ~keep:attr ~key:out_key ~value:dst_of;
+    child_out = dense_of n (group by_src ~keep:child ~key:src_of ~value:dst_of);
+    child_in = dense_of n (group by_dst ~keep:child ~key:dst_of ~value:src_of);
+    ref_out = dense_of n (group by_src ~keep:refs ~key:src_of ~value:dst_of);
+    ref_in = dense_of n (group by_dst ~keep:refs ~key:dst_of ~value:src_of);
     edges_by_name =
-      E_ready
-        (let out = Hashtbl.create (Hashtbl.length edges_name_l) in
-         Hashtbl.iter
-           (fun key r ->
-             let a = Array.of_list !r in
-             Array.sort compare a;
-             Hashtbl.replace out key a)
-           edges_name_l;
-         out);
+      {
+        keys = names.keys;
+        sets =
+          {
+            off = Array.map (fun o -> 2 * o) names.sets.off;
+            pool =
+              Array.init (2 * m) (fun j ->
+                  let e = by_name.(j / 2) in
+                  if j land 1 = 0 then src.(e) else dst.(e));
+          };
+      };
     path_lock = Mutex.create ();
     planes = Hashtbl.create 4;
     path_specs = Hashtbl.create 8;
@@ -297,33 +335,6 @@ let with_lock m f =
     Mutex.unlock m;
     raise e
 
-(* Force a cold derived table exactly once; the fast path is one
-   immutable-looking field read, the slow path runs under [path_lock]
-   so concurrent worker domains materialise a loaded snapshot once. *)
-let by_value_tbl t : (vkey, Iset.t) Hashtbl.t =
-  match t.by_value with
-  | V_ready h -> h
-  | V_lazy _ ->
-    with_lock t.path_lock (fun () ->
-        match t.by_value with
-        | V_ready h -> h
-        | V_lazy mk ->
-          let h = mk () in
-          t.by_value <- V_ready h;
-          h)
-
-let edges_tbl t : (int, (int * int) array) Hashtbl.t =
-  match t.edges_by_name with
-  | E_ready h -> h
-  | E_lazy _ ->
-    with_lock t.path_lock (fun () ->
-        match t.edges_by_name with
-        | E_ready h -> h
-        | E_lazy { mk; _ } ->
-          let h = mk () in
-          t.edges_by_name <- E_ready h;
-          h)
-
 (** Complex nodes carrying label symbol [sym], sorted. *)
 let complex_with_sym t sym : Iset.t =
   if sym < 0 then Iset.empty else p_find t.by_label sym
@@ -334,26 +345,28 @@ let complex_with_label t l : Iset.t = complex_with_sym t (label_sym t l)
 (** Complex nodes whose label satisfies [p] — one test per *distinct*
     label, not per node (this is how regex name tests scale). *)
 let complex_matching t p : Iset.t =
-  let parts =
-    p_fold
-      (fun sym nodes acc ->
-        if p (Symtab.name t.symtab sym) then nodes :: acc else acc)
-      t.by_label []
-  in
-  match parts with
+  let parts = ref [] in
+  Array.iteri
+    (fun i sym ->
+      if p (Symtab.name t.symtab sym) then
+        parts := slice t.by_label.sets i :: !parts)
+    t.by_label.keys;
+  match !parts with
   | [] -> Iset.empty
   | [ s ] -> s
   | parts -> List.fold_left Iset.union Iset.empty parts
 
 (** Atom nodes equal (in the [Value.equal_values] sense) to [v]. *)
 let atoms_equal t v : Iset.t =
-  Option.value (Hashtbl.find_opt (by_value_tbl t) (vkey v)) ~default:Iset.empty
+  match Value.as_number v with
+  | Some f -> v_find Float.compare t.by_number f
+  | None -> v_find String.compare t.by_string (Value.to_string v)
 
 let all_complex t = t.all_complex
 let all_atoms t = t.all_atoms
 
 let labels t =
-  p_fold (fun sym _ acc -> Symtab.name t.symtab sym :: acc) t.by_label []
+  Array.to_list (Array.map (Symtab.name t.symtab) t.by_label.keys)
   |> List.sort compare
 
 (* name-partitioned adjacency, keyed by one immediate int *)
@@ -368,74 +381,22 @@ let in_named_sym t n sym = adj_named t.in_by_name t n sym
 let attr_named_sym t n sym = adj_named t.attr_out t n sym
 let out_named t n name = out_named_sym t n (label_sym t name)
 let in_named t n name = in_named_sym t n (label_sym t name)
-let attr_named t n name = attr_named_sym t n (label_sym t name)
-let children t n = d_get t.child_out n
-let parents t n = d_get t.child_in n
-let ref_succ t n = d_get t.ref_out n
-let ref_pred t n = d_get t.ref_in n
+let children t n = slice t.child_out n
+let parents t n = slice t.child_in n
+let ref_succ t n = slice t.ref_out n
+let ref_pred t n = slice t.ref_in n
 
 let edges_named t name : (int * int) array =
-  match Symtab.find t.symtab name with
-  | None -> [||]
-  | Some sym -> Option.value (Hashtbl.find_opt (edges_tbl t) sym) ~default:[||]
+  let i = p_rank t.edges_by_name.keys (label_sym t name) in
+  if i < 0 then [||]
+  else
+    let { off; pool } = t.edges_by_name.sets in
+    Array.init ((off.(i + 1) - off.(i)) / 2) (fun j ->
+        let p = off.(i) + (2 * j) in
+        (pool.(p), pool.(p + 1)))
 
 (** O(1) total degree, for the matcher's fail-first scorer. *)
 let degree t n = Gql_graph.Csr.degree t.csr n
-
-(* --- statistics ------------------------------------------------------- *)
-
-(** Snapshot statistics for the cost-based planner ({!Gql_algebra} via
-    the provider, and EXPLAIN's summary line): sizes, the CSR degree
-    summary, and per-edge-name edge counts. *)
-type stats = {
-  st_nodes : int;
-  st_edges : int;
-  st_avg_out_degree : float;  (** edges / nodes, from the CSR planes *)
-  st_max_out_degree : int;
-  st_name_counts : (string * int) list;
-      (** edge name -> total edge count, sorted by name *)
-}
-
-(** Total number of edges named [name] in the snapshot — a per-symbol
-    fan-out numerator (divide by a source cardinality for a mean). *)
-let name_edge_count t name : int =
-  match Symtab.find t.symtab name with
-  | None -> 0
-  | Some sym -> (
-    match t.edges_by_name with
-    | E_ready h -> (
-      match Hashtbl.find_opt h sym with
-      | None -> 0
-      | Some a -> Array.length a)
-    | E_lazy { counts; _ } ->
-      (* planner probes must not force pair materialisation *)
-      let lo = ref 0 and hi = ref (Array.length counts) in
-      while !lo < !hi do
-        let mid = !lo + ((!hi - !lo) / 2) in
-        if fst counts.(mid) < sym then lo := mid + 1 else hi := mid
-      done;
-      if !lo < Array.length counts && fst counts.(!lo) = sym then
-        snd counts.(!lo)
-      else 0)
-
-let stats t : stats =
-  {
-    st_nodes = n_nodes t;
-    st_edges = n_edges t;
-    st_avg_out_degree = Gql_graph.Csr.avg_out_degree t.csr;
-    st_max_out_degree = Gql_graph.Csr.max_out_degree t.csr;
-    st_name_counts =
-      (match t.edges_by_name with
-      | E_ready h ->
-        Hashtbl.fold
-          (fun sym pairs acc ->
-            (Symtab.name t.symtab sym, Array.length pairs) :: acc)
-          h []
-      | E_lazy { counts; _ } ->
-        Array.to_list counts
-        |> List.map (fun (sym, c) -> (Symtab.name t.symtab sym, c)))
-      |> List.sort compare;
-  }
 
 (* --- Homo navigation builders ---------------------------------------- *)
 
@@ -457,7 +418,7 @@ let nav_child t : Gql_graph.Homo.nav =
   {
     nav_out = Some (fun n -> children t n);
     nav_in = Some (fun n -> parents t n);
-    nav_links = Some (fun src dst -> d_mem t.child_out src dst);
+    nav_links = Some (fun src dst -> slice_mem t.child_out src dst);
     nav_exact = true;
   }
 
@@ -487,7 +448,7 @@ let nav_ref t : Gql_graph.Homo.nav =
   {
     nav_out = Some (fun n -> ref_succ t n);
     nav_in = Some (fun n -> ref_pred t n);
-    nav_links = Some (fun src dst -> d_mem t.ref_out src dst);
+    nav_links = Some (fun src dst -> slice_mem t.ref_out src dst);
     nav_exact = true;
   }
 

@@ -15,16 +15,15 @@
     a corrupt, truncated or wrong-version file answers a typed
     {!Invalid_snapshot} — never a crash or a silent wrong answer.
 
-    Loading is zero-copy where the representation allows and one blit
-    per section where [int array] is load-bearing (Iset/CSR interop —
-    the bench's E17 records both the map+verify and the materialise
-    cost).  Hot planes (CSR, adjacency postings, label postings) are
-    blitted eagerly; cold lanes stay on disk behind captured Bigarray
-    views and materialise on first demand: the value table and the
-    per-name edge-pair table become [V_lazy]/[E_lazy] cells in the
-    index, the mutable {!Digraph} thaws behind {!Graph.of_thaw}, and
-    the regular-path planes/specs/memo rebuild on demand exactly as a
-    fresh build's would. *)
+    The index holds the same planes in memory ({!Index.postings} and
+    {!Index.sets}: sorted keys, offsets, one pool), so [save] writes its
+    fields as they are and [load] validates each section and blits it
+    into the field it came from — hot planes and cold lanes alike, one
+    blit per section (E17 records the map+verify and the blit cost).
+    Nothing the loaded graph or index holds refers to the mapping.  The
+    mutable {!Digraph} thaws behind {!Graph.of_thaw}, and the
+    regular-path planes/specs/memo rebuild on demand exactly as a fresh
+    build's would. *)
 
 module Iset = Gql_graph.Iset
 
@@ -281,48 +280,6 @@ let sec_elems = function
 
 let round_page x = (x + page - 1) / page * page
 
-(* Flatten a posting map to (sorted keys, offsets, concatenated pool). *)
-let flat_of_postings (p : Index.postings) : int array * int array * int array =
-  let items =
-    Array.of_list (Index.p_fold (fun k s acc -> (k, s) :: acc) p [])
-  in
-  Array.sort (fun (a, _) (b, _) -> compare (a : int) b) items;
-  let nk = Array.length items in
-  let keys = Array.make nk 0 in
-  let off = Array.make (nk + 1) 0 in
-  let total = Array.fold_left (fun acc (_, s) -> acc + Iset.length s) 0 items in
-  let pool = Array.make total 0 in
-  let w = ref 0 in
-  Array.iteri
-    (fun i (k, s) ->
-      keys.(i) <- k;
-      off.(i) <- !w;
-      Iset.iter
-        (fun v ->
-          pool.(!w) <- v;
-          incr w)
-        s)
-    items;
-  off.(nk) <- !w;
-  (keys, off, pool)
-
-(* Flatten a dense per-node plane to (offsets, pool). *)
-let flat_of_dense (d : Index.dense) ~n : int array * int array =
-  let off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i) + Iset.length (Index.d_get d i)
-  done;
-  let pool = Array.make off.(n) 0 in
-  let w = ref 0 in
-  for i = 0 to n - 1 do
-    Iset.iter
-      (fun v ->
-        pool.(!w) <- v;
-        incr w)
-      (Index.d_get d i)
-  done;
-  (off, pool)
-
 let blob_of_strings (arr : string array) : int array * Bytes.t =
   let off = Array.make (Array.length arr + 1) 0 in
   let b = Buffer.create 1024 in
@@ -343,7 +300,7 @@ let kind_code : Graph.edge_kind -> int = function
 (** Serialize the frozen snapshot behind [idx] to [path]; returns the
     file size in bytes.  The mutable digraph is never consulted (and a
     loaded, still-unthawed snapshot can be re-saved): everything comes
-    from the CSR planes and the index postings. *)
+    from the CSR planes and the index's own planes, written as they are. *)
 let save ~path (idx : Index.t) : int =
   let t0 = now_us () in
   let csr = idx.Index.csr in
@@ -437,79 +394,19 @@ let save ~path (idx : Index.t) : int =
   let sym_off, sym_blob = blob_of_strings syms in
   (* node-symbol plane (and implicit node kinds: -1 = atom) *)
   let node_sym = Array.init n (fun i -> Gql_graph.Csr.node_sym csr i) in
-  (* postings and dense planes *)
-  let lbl_keys, lbl_off, lbl_pool = flat_of_postings idx.Index.by_label in
-  let adjo_keys, adjo_off, adjo_pool = flat_of_postings idx.Index.out_by_name in
-  let adji_keys, adji_off, adji_pool = flat_of_postings idx.Index.in_by_name in
-  let attr_keys, attr_off, attr_pool = flat_of_postings idx.Index.attr_out in
-  let childo_off, childo_pool = flat_of_dense idx.Index.child_out ~n in
-  let childi_off, childi_pool = flat_of_dense idx.Index.child_in ~n in
-  let refo_off, refo_pool = flat_of_dense idx.Index.ref_out ~n in
-  let refi_off, refi_pool = flat_of_dense idx.Index.ref_in ~n in
-  (* value table, split into numeric and textual buckets *)
-  let vtbl = Index.by_value_tbl idx in
-  let nums = ref [] and strs = ref [] in
-  Hashtbl.iter
-    (fun k s ->
-      match k with
-      | Index.Num f -> nums := (f, s) :: !nums
-      | Index.Str str -> strs := (str, s) :: !strs)
-    vtbl;
-  let nums = Array.of_list !nums and strs = Array.of_list !strs in
-  Array.sort (fun (a, _) (b, _) -> compare (a : float) b) nums;
-  Array.sort (fun (a, _) (b, _) -> compare (a : string) b) strs;
-  let concat_sets items =
-    let nk = Array.length items in
-    let off = Array.make (nk + 1) 0 in
-    let total =
-      Array.fold_left (fun acc (_, s) -> acc + Iset.length s) 0 items
-    in
-    let pool = Array.make total 0 in
-    let w = ref 0 in
-    Array.iteri
-      (fun i (_, s) ->
-        off.(i) <- !w;
-        Iset.iter
-          (fun v ->
-            pool.(!w) <- v;
-            incr w)
-          s)
-      items;
-    off.(nk) <- !w;
-    (off, pool)
-  in
-  let valn_keys = Array.map fst nums in
-  let valn_off, valn_pool = concat_sets nums in
-  let vals_koff, vals_kblob = blob_of_strings (Array.map fst strs) in
-  let vals_off, vals_pool = concat_sets strs in
-  (* per-name edge pairs, interleaved (src, dst) *)
-  let etbl = Index.edges_tbl idx in
-  let edges =
-    Array.of_list (Hashtbl.fold (fun k v acc -> (k, v) :: acc) etbl [])
-  in
-  Array.sort (fun (a, _) (b, _) -> compare (a : int) b) edges;
-  let edgn_keys = Array.map fst edges in
-  let edgn_off = Array.make (Array.length edges + 1) 0 in
-  Array.iteri
-    (fun i (_, pairs) ->
-      edgn_off.(i + 1) <- edgn_off.(i) + (2 * Array.length pairs))
-    edges;
-  let edgn_pool = Array.make edgn_off.(Array.length edges) 0 in
-  Array.iteri
-    (fun i (_, pairs) ->
-      let base = edgn_off.(i) in
-      Array.iteri
-        (fun j (src, dst) ->
-          edgn_pool.(base + (2 * j)) <- src;
-          edgn_pool.(base + (2 * j) + 1) <- dst)
-        pairs)
-    edges;
+  let vals_koff, vals_kblob = blob_of_strings idx.Index.by_string.keys in
   let roots_arr = Array.of_list (Graph.roots idx.Index.data) in
   let meta =
     [|
       word_tag; n; m; n_syms; idx.Index.stride; u; !n_atoms;
       Array.length roots_arr;
     |]
+  in
+  let sets off_id pool_id (s : Index.sets) =
+    [ (off_id, W s.Index.off); (pool_id, W s.Index.pool) ]
+  in
+  let postings keys_id off_id pool_id (p : int Index.postings) =
+    (keys_id, W p.Index.keys) :: sets off_id pool_id p.Index.sets
   in
   let secs : (int * sec_data) list =
     [
@@ -533,37 +430,20 @@ let save ~path (idx : Index.t) : int =
       (s_atom_flt, F atom_flt);
       (s_astr_off, W astr_off);
       (s_astr_blob, B astr_blob);
-      (s_lbl_keys, W lbl_keys);
-      (s_lbl_off, W lbl_off);
-      (s_lbl_pool, W lbl_pool);
-      (s_adjo_keys, W adjo_keys);
-      (s_adjo_off, W adjo_off);
-      (s_adjo_pool, W adjo_pool);
-      (s_adji_keys, W adji_keys);
-      (s_adji_off, W adji_off);
-      (s_adji_pool, W adji_pool);
-      (s_attr_keys, W attr_keys);
-      (s_attr_off, W attr_off);
-      (s_attr_pool, W attr_pool);
-      (s_childo_off, W childo_off);
-      (s_childo_pool, W childo_pool);
-      (s_childi_off, W childi_off);
-      (s_childi_pool, W childi_pool);
-      (s_refo_off, W refo_off);
-      (s_refo_pool, W refo_pool);
-      (s_refi_off, W refi_off);
-      (s_refi_pool, W refi_pool);
-      (s_valn_keys, F valn_keys);
-      (s_valn_off, W valn_off);
-      (s_valn_pool, W valn_pool);
-      (s_vals_koff, W vals_koff);
-      (s_vals_kblob, B vals_kblob);
-      (s_vals_off, W vals_off);
-      (s_vals_pool, W vals_pool);
-      (s_edgn_keys, W edgn_keys);
-      (s_edgn_off, W edgn_off);
-      (s_edgn_pool, W edgn_pool);
     ]
+    @ postings s_lbl_keys s_lbl_off s_lbl_pool idx.Index.by_label
+    @ postings s_adjo_keys s_adjo_off s_adjo_pool idx.Index.out_by_name
+    @ postings s_adji_keys s_adji_off s_adji_pool idx.Index.in_by_name
+    @ postings s_attr_keys s_attr_off s_attr_pool idx.Index.attr_out
+    @ sets s_childo_off s_childo_pool idx.Index.child_out
+    @ sets s_childi_off s_childi_pool idx.Index.child_in
+    @ sets s_refo_off s_refo_pool idx.Index.ref_out
+    @ sets s_refi_off s_refi_pool idx.Index.ref_in
+    @ [ (s_valn_keys, F idx.Index.by_number.keys) ]
+    @ sets s_valn_off s_valn_pool idx.Index.by_number.sets
+    @ [ (s_vals_koff, W vals_koff); (s_vals_kblob, B vals_kblob) ]
+    @ sets s_vals_off s_vals_pool idx.Index.by_string.sets
+    @ postings s_edgn_keys s_edgn_off s_edgn_pool idx.Index.edges_by_name
   in
   (* layout: header page, then each section page-aligned *)
   let cur = ref page in
@@ -766,22 +646,9 @@ let sec_words mp id : int array =
     a
   end
 
-(* Zero-copy views for the lazy sections: the data stays on disk until
-   a cold lane forces it. *)
-let word_view mp id : words =
+let sec_floats mp id : float array =
   let off, elems = find_sec mp id in
-  Bigarray.Array1.sub mp.mp_words (off / 8) elems
-
-let float_view mp id : floats =
-  let off, elems = find_sec mp id in
-  Bigarray.Array1.sub mp.mp_floats (off / 8) elems
-
-let char_view mp id : chars =
-  let off, elems = find_sec mp id in
-  Bigarray.Array1.sub mp.mp_chars off elems
-
-let view_string (v : chars) ~off ~len : string =
-  String.init len (fun i -> Bigarray.Array1.get v (off + i))
+  Array.init elems (fun i -> Bigarray.Array1.get mp.mp_floats ((off / 8) + i))
 
 (* --- structural validation helpers ------------------------------------- *)
 
@@ -819,20 +686,16 @@ let check_range mp id (a : int array) ~lo ~hi =
   if !i < n then
     sec_fail mp id "element %d holds %d, outside [%d, %d)" !i a.(!i) lo hi
 
-(* Posting keys must be strictly ascending: flat lookups binary-search
-   them, and an unsorted key plane would answer wrong sets silently. *)
-let check_keys mp id (keys : int array) =
+(* Keys must be strictly ascending: lookups binary-search them, and an
+   unsorted key plane would answer wrong sets silently. *)
+let check_keys mp id cmp keys =
   for i = 1 to Array.length keys - 1 do
-    if Array.unsafe_get keys (i - 1) >= Array.unsafe_get keys i then
+    if cmp keys.(i - 1) keys.(i) >= 0 then
       sec_fail mp id "keys not strictly ascending at entry %d" i
   done
 
-(* Pool slices must be sorted (Iset invariant); [strict] is off only for
-   the edge-pair pool, where parallel edges legitimately repeat. *)
-(* Specialised for the blitted pools: same invariant as {!check_slices}
-   below, but direct array access — the closure-per-element cost is
-   visible at 1M-node scale. *)
-let check_slices_words mp id ~(off : int array) ~(pool : int array) =
+(* Pool slices must be sorted and duplicate-free (Iset invariant). *)
+let check_slices mp id ~(off : int array) ~(pool : int array) =
   for i = 0 to Array.length off - 2 do
     for j = Array.unsafe_get off i + 1 to Array.unsafe_get off (i + 1) - 1 do
       if Array.unsafe_get pool (j - 1) >= Array.unsafe_get pool j then
@@ -840,14 +703,24 @@ let check_slices_words mp id ~(off : int array) ~(pool : int array) =
     done
   done
 
-let check_slices mp id ~(off : int array) ~(get : int -> int) ~strict =
-  for i = 0 to Array.length off - 2 do
-    for j = Array.unsafe_get off i + 1 to Array.unsafe_get off (i + 1) - 1 do
-      let a = get (j - 1) and b = get j in
-      if (strict && a >= b) || (not strict && a > b) then
-        sec_fail mp id "pool slice %d not sorted at element %d" i j
-    done
-  done
+(* The strings of a blob section, cut at the offsets in [off_id]. *)
+let sec_strings mp off_id blob_id : string array =
+  let off = sec_words mp off_id in
+  let count = Array.length off - 1 in
+  if count < 0 then sec_fail mp off_id "empty offset section";
+  let base, len = find_sec mp blob_id in
+  check_offsets mp off_id off ~count ~limit:len;
+  Array.init count (fun i ->
+      String.init (off.(i + 1) - off.(i)) (fun j ->
+          Bigarray.Array1.get mp.mp_chars (base + off.(i) + j)))
+
+(* The value planes' keys, in the order their lookups search. *)
+let value_keys mp : float array * string array =
+  let nums = sec_floats mp s_valn_keys in
+  check_keys mp s_valn_keys Float.compare nums;
+  let strs = sec_strings mp s_vals_koff s_vals_kblob in
+  check_keys mp s_vals_kblob String.compare strs;
+  (nums, strs)
 
 (* --- info / validate / file_key ---------------------------------------- *)
 
@@ -873,13 +746,14 @@ type info = {
       (** name, byte offset, element count *)
 }
 
-(** Map the file and verify every checksum and header invariant without
-    materialising anything — the "zero-copy open" half of the E17
-    zero-copy vs blit measurement, and the engine behind
-    [gql snapshot info]. *)
+(** Map the file and verify every checksum, the header and meta
+    invariants and the order of the value keys, without building an
+    index — the "open" half of the E17 open vs blit measurement, and the
+    engine behind [gql snapshot info]. *)
 let validate path : info =
   let mp = open_mapped ~verify:true path in
   let meta = read_meta mp in
+  ignore (value_keys mp);
   {
     info_bytes = mp.mp_total;
     info_format = format_version;
@@ -907,12 +781,12 @@ let file_key path : string =
 
 (* --- load -------------------------------------------------------------- *)
 
-(** Load a snapshot: verify everything, blit the hot planes into native
-    arrays, wire the cold lanes lazily, and return the graph + index
-    pair ([Index.graph] of the result is the returned graph, so
-    [Index.refresh] on a cache seeded with this index is a no-op until
-    the graph grows).  The mutable digraph is NOT materialised — it
-    thaws from the CSR on first scan-route/fork/render use. *)
+(** Load a snapshot: verify everything, blit every plane into native
+    arrays, and return the graph + index pair ([Index.graph] of the
+    result is the returned graph, so [Index.refresh] on a cache seeded
+    with this index is a no-op until the graph grows).  The mutable
+    digraph is NOT materialised — it thaws from the CSR on first
+    scan-route/fork/render use. *)
 let load ~path : Graph.t * Index.t =
   let t0 = now_us () in
   let mp = open_mapped ~verify:true path in
@@ -923,15 +797,10 @@ let load ~path : Graph.t * Index.t =
   if stride < 1 then sec_fail mp s_meta "stride %d < 1" stride;
   if n_atoms > n then sec_fail mp s_meta "%d atoms > %d nodes" n_atoms n;
   (* symbol table *)
-  let sym_off = sec_words mp s_sym_off in
-  let _, sym_blob_len = find_sec mp s_sym_blob in
-  check_offsets mp s_sym_off sym_off ~count:n_syms ~limit:sym_blob_len;
-  let sym_blob = char_view mp s_sym_blob in
-  let syms =
-    Array.init n_syms (fun i ->
-        view_string sym_blob ~off:sym_off.(i)
-          ~len:(sym_off.(i + 1) - sym_off.(i)))
-  in
+  let syms = sec_strings mp s_sym_off s_sym_blob in
+  if Array.length syms <> n_syms then
+    sec_fail mp s_sym_off "expected %d symbols, found %d" n_syms
+      (Array.length syms);
   let symtab =
     try Symtab.of_names syms
     with Invalid_argument _ ->
@@ -1003,33 +872,22 @@ let load ~path : Graph.t * Index.t =
   check_len mp s_atom_tag atom_tag ~expect:n_atoms;
   check_len mp s_atom_aux atom_aux ~expect:n_atoms;
   check_range mp s_atom_tag atom_tag ~lo:0 ~hi:4;
-  let _, n_flt = find_sec mp s_atom_flt in
-  let flt = float_view mp s_atom_flt in
-  let astr_off = sec_words mp s_astr_off in
-  let _, astr_blob_len = find_sec mp s_astr_blob in
-  let n_astr = Array.length astr_off - 1 in
-  if n_astr < 0 then sec_fail mp s_astr_off "empty offset section";
-  check_offsets mp s_astr_off astr_off ~count:n_astr ~limit:astr_blob_len;
-  let astr_blob = char_view mp s_astr_blob in
-  let astrs =
-    Array.init n_astr (fun i ->
-        view_string astr_blob ~off:astr_off.(i)
-          ~len:(astr_off.(i + 1) - astr_off.(i)))
-  in
+  let flt = sec_floats mp s_atom_flt in
+  let astrs = sec_strings mp s_astr_off s_astr_blob in
   let atom_box =
     Array.init n_atoms (fun k ->
         let aux = atom_aux.(k) in
         let v =
           match atom_tag.(k) with
           | 0 ->
-            if aux < 0 || aux >= n_astr then
+            if aux < 0 || aux >= Array.length astrs then
               sec_fail mp s_atom_aux "string id %d out of range" aux;
             Value.String astrs.(aux)
           | 1 -> Value.Int aux
           | 2 ->
-            if aux < 0 || aux >= n_flt then
+            if aux < 0 || aux >= Array.length flt then
               sec_fail mp s_atom_aux "float id %d out of range" aux;
-            Value.Float (Bigarray.Array1.get flt aux)
+            Value.Float flt.(aux)
           | _ -> Value.Bool (aux <> 0)
         in
         Graph.Atom v)
@@ -1061,36 +919,30 @@ let load ~path : Graph.t * Index.t =
     Graph.of_thaw ~n_nodes:n ~n_edges:m ~roots:(Array.to_list roots_arr)
       (fun () -> Gql_graph.Csr.thaw csr ~dummy:Graph.dummy_kind)
   in
-  (* flat posting maps (hot: blitted) *)
-  let postings keys_id off_id pool_id ~key_hi =
-    let keys = sec_words mp keys_id in
+  (* posting and per-node planes, blitted *)
+  let sets off_id pool_id ~count : Index.sets =
     let off = sec_words mp off_id in
     let pool = sec_words mp pool_id in
-    check_keys mp keys_id keys;
-    check_range mp keys_id keys ~lo:0 ~hi:key_hi;
-    check_offsets mp off_id off ~count:(Array.length keys)
-      ~limit:(Array.length pool);
+    check_offsets mp off_id off ~count ~limit:(Array.length pool);
     check_range mp pool_id pool ~lo:0 ~hi:(max 1 n);
-    check_slices_words mp pool_id ~off ~pool;
-    Index.P_flat { keys; off; pool }
+    check_slices mp pool_id ~off ~pool;
+    { off; pool }
+  in
+  let postings keys_id off_id pool_id ~key_hi : int Index.postings =
+    let keys = sec_words mp keys_id in
+    check_keys mp keys_id Int.compare keys;
+    check_range mp keys_id keys ~lo:0 ~hi:key_hi;
+    { keys; sets = sets off_id pool_id ~count:(Array.length keys) }
   in
   let adj_hi = max 1 (((n - 1) * stride) + n_syms) in
   let by_label = postings s_lbl_keys s_lbl_off s_lbl_pool ~key_hi:(max 1 n_syms) in
   let out_by_name = postings s_adjo_keys s_adjo_off s_adjo_pool ~key_hi:adj_hi in
   let in_by_name = postings s_adji_keys s_adji_off s_adji_pool ~key_hi:adj_hi in
   let attr_out = postings s_attr_keys s_attr_off s_attr_pool ~key_hi:adj_hi in
-  let dense off_id pool_id =
-    let off = sec_words mp off_id in
-    let pool = sec_words mp pool_id in
-    check_offsets mp off_id off ~count:n ~limit:(Array.length pool);
-    check_range mp pool_id pool ~lo:0 ~hi:(max 1 n);
-    check_slices_words mp pool_id ~off ~pool;
-    Index.D_flat { off; pool }
-  in
-  let child_out = dense s_childo_off s_childo_pool in
-  let child_in = dense s_childi_off s_childi_pool in
-  let ref_out = dense s_refo_off s_refo_pool in
-  let ref_in = dense s_refi_off s_refi_pool in
+  let child_out = sets s_childo_off s_childo_pool ~count:n in
+  let child_in = sets s_childi_off s_childi_pool ~count:n in
+  let ref_out = sets s_refo_off s_refo_pool ~count:n in
+  let ref_in = sets s_refi_off s_refi_pool ~count:n in
   (* all-complex / all-atoms from the node-symbol plane *)
   let all_complex = Array.make (n - n_atoms) 0 in
   let all_atoms = Array.make n_atoms 0 in
@@ -1105,79 +957,29 @@ let load ~path : Graph.t * Index.t =
       incr wa
     end
   done;
-  (* value table: validated eagerly, materialised lazily off the views *)
-  let valn_keys = float_view mp s_valn_keys in
-  let valn_off = sec_words mp s_valn_off in
-  let valn_pool = word_view mp s_valn_pool in
-  let n_num = Bigarray.Array1.dim valn_keys in
-  check_offsets mp s_valn_off valn_off ~count:n_num
-    ~limit:(Bigarray.Array1.dim valn_pool);
-  check_slices mp s_valn_pool ~off:valn_off
-    ~get:(fun i -> Bigarray.Array1.get valn_pool i)
-    ~strict:true;
-  let vals_koff = sec_words mp s_vals_koff in
-  let _, vals_kblob_len = find_sec mp s_vals_kblob in
-  let n_str = Array.length vals_koff - 1 in
-  if n_str < 0 then sec_fail mp s_vals_koff "empty offset section";
-  check_offsets mp s_vals_koff vals_koff ~count:n_str ~limit:vals_kblob_len;
-  let vals_kblob = char_view mp s_vals_kblob in
-  let vals_off = sec_words mp s_vals_off in
-  let vals_pool = word_view mp s_vals_pool in
-  check_offsets mp s_vals_off vals_off ~count:n_str
-    ~limit:(Bigarray.Array1.dim vals_pool);
-  check_slices mp s_vals_pool ~off:vals_off
-    ~get:(fun i -> Bigarray.Array1.get vals_pool i)
-    ~strict:true;
-  let slice_set (pool : words) lo hi =
-    Iset.unsafe_of_sorted_array
-      (Array.init (hi - lo) (fun j -> Bigarray.Array1.get pool (lo + j)))
+  let num_keys, str_keys = value_keys mp in
+  let by_number =
+    { Index.keys = num_keys;
+      sets = sets s_valn_off s_valn_pool ~count:(Array.length num_keys) }
   in
-  let by_value_mk () =
-    let h = Hashtbl.create (max 16 (n_num + n_str)) in
-    for i = 0 to n_num - 1 do
-      Hashtbl.replace h
-        (Index.Num (Bigarray.Array1.get valn_keys i))
-        (slice_set valn_pool valn_off.(i) valn_off.(i + 1))
-    done;
-    for i = 0 to n_str - 1 do
-      Hashtbl.replace h
-        (Index.Str
-           (view_string vals_kblob ~off:vals_koff.(i)
-              ~len:(vals_koff.(i + 1) - vals_koff.(i))))
-        (slice_set vals_pool vals_off.(i) vals_off.(i + 1))
-    done;
-    h
+  let by_string =
+    { Index.keys = str_keys;
+      sets = sets s_vals_off s_vals_pool ~count:(Array.length str_keys) }
   in
-  (* per-name edge pairs: counts eager (planner stats), pairs lazy *)
+  (* per-name edge pairs, (src, dst) interleaved; parallel edges repeat *)
   let edgn_keys = sec_words mp s_edgn_keys in
   let edgn_off = sec_words mp s_edgn_off in
-  let edgn_pool = word_view mp s_edgn_pool in
-  check_keys mp s_edgn_keys edgn_keys;
+  let edgn_pool = sec_words mp s_edgn_pool in
+  check_keys mp s_edgn_keys Int.compare edgn_keys;
   check_range mp s_edgn_keys edgn_keys ~lo:0 ~hi:(max 1 n_syms);
   check_offsets mp s_edgn_off edgn_off ~count:(Array.length edgn_keys)
-    ~limit:(Bigarray.Array1.dim edgn_pool);
+    ~limit:(Array.length edgn_pool);
   Array.iteri
     (fun i _ ->
       if (edgn_off.(i + 1) - edgn_off.(i)) mod 2 <> 0 then
         sec_fail mp s_edgn_off "odd pair-pool slice at entry %d" i)
     edgn_keys;
-  let counts =
-    Array.init (Array.length edgn_keys) (fun i ->
-        (edgn_keys.(i), (edgn_off.(i + 1) - edgn_off.(i)) / 2))
-  in
-  let edgn_mk () =
-    let h = Hashtbl.create (max 16 (Array.length edgn_keys)) in
-    Array.iteri
-      (fun i sym ->
-        let lo = edgn_off.(i) in
-        let cnt = (edgn_off.(i + 1) - lo) / 2 in
-        Hashtbl.replace h sym
-          (Array.init cnt (fun j ->
-               ( Bigarray.Array1.get edgn_pool (lo + (2 * j)),
-                 Bigarray.Array1.get edgn_pool (lo + (2 * j) + 1) ))))
-      edgn_keys;
-    h
-  in
+  check_range mp s_edgn_pool edgn_pool ~lo:0 ~hi:(max 1 n);
   let index =
     {
       Index.data = graph;
@@ -1186,7 +988,8 @@ let load ~path : Graph.t * Index.t =
       symtab;
       stride;
       by_label;
-      by_value = Index.V_lazy by_value_mk;
+      by_number;
+      by_string;
       all_complex = Iset.unsafe_of_sorted_array all_complex;
       all_atoms = Iset.unsafe_of_sorted_array all_atoms;
       out_by_name;
@@ -1196,7 +999,8 @@ let load ~path : Graph.t * Index.t =
       child_in;
       ref_out;
       ref_in;
-      edges_by_name = Index.E_lazy { counts; mk = edgn_mk };
+      edges_by_name =
+        { keys = edgn_keys; sets = { off = edgn_off; pool = edgn_pool } };
       path_lock = Mutex.create ();
       planes = Hashtbl.create 4;
       path_specs = Hashtbl.create 8;

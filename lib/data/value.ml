@@ -44,12 +44,6 @@ let to_string = function
     else string_of_float f
   | Bool b -> string_of_bool b
 
-let type_name = function
-  | String _ -> "string"
-  | Int _ -> "int"
-  | Float _ -> "float"
-  | Bool _ -> "bool"
-
 let as_number = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f

@@ -51,24 +51,6 @@ let out_degree t n = t.out_off.(n + 1) - t.out_off.(n)
 let in_degree t n = t.in_off.(n + 1) - t.in_off.(n)
 let degree t n = out_degree t n + in_degree t n
 
-(** Mean out-degree over all nodes (= edges/nodes) — the cost model's
-    fallback fan-out when no per-symbol posting set can be sampled.
-    O(1): both totals sit in the offset arrays. *)
-let avg_out_degree t =
-  let n = n_nodes t in
-  if n = 0 then 0.0 else float_of_int (n_edges t) /. float_of_int n
-
-let avg_in_degree = avg_out_degree
-
-(** Largest out-degree of any node — O(n), used for reachability caps on
-    regular-path estimates. *)
-let max_out_degree t =
-  let best = ref 0 in
-  for n = 0 to n_nodes t - 1 do
-    best := max !best (out_degree t n)
-  done;
-  !best
-
 let iter_succ f t n =
   for i = t.out_off.(n) to t.out_off.(n + 1) - 1 do
     f t.out_dst.(i) t.out_lab.(i)
@@ -190,8 +172,8 @@ let of_planes ~payloads ~out_off ~out_dst ~out_lab ~in_off ~in_src ~in_lab
 (** Rebuild a mutable {!Digraph} from the frozen view — the inverse of
     {!freeze}, used to thaw a loaded snapshot on first demand.  Preserves
     adjacency order (slice order = cons-list order), copies the payload
-    array (so [Digraph.set_payload] cannot corrupt the CSR), and shares
-    the immutable edge labels. *)
+    array (so nodes added to the thawed graph never touch the CSR), and
+    shares the immutable edge labels. *)
 let thaw (t : ('n, 'e) t) ~(dummy : 'n) : ('n, 'e) Digraph.t =
   let n = n_nodes t in
   if n = 0 then Digraph.create ~dummy

@@ -42,7 +42,6 @@ let add_edge g ~src ~dst label =
 let n_nodes g = Vec.length g.payloads
 let n_edges g = g.n_edges
 let payload g n = Vec.get g.payloads n
-let set_payload g n p = Vec.set g.payloads n p
 
 (** Outgoing (destination, label) pairs, most recently added first. *)
 let succ g n = (Vec.get g.out_adj n).(0)

@@ -16,6 +16,15 @@ exception Error of string * int  (** message, line number *)
 
 let err line fmt = Printf.ksprintf (fun s -> raise (Error (s, line))) fmt
 
+(** The pattern of a [/regex/] token, compiled once here so that a
+    malformed one is a parse error on its line, not a failure at match
+    time. *)
+let regex ~line re =
+  match Gql_regex.Chre.compile re with
+  | _ -> re
+  | exception Gql_regex.Chre.Parse_error (msg, pos) ->
+    err line "bad /regex/ /%s/: %s at offset %d" re msg pos
+
 let is_ident_char c =
   (c >= 'a' && c <= 'z')
   || (c >= 'A' && c <= 'Z')

@@ -59,7 +59,7 @@ let parse_conditions (st : pstate) : Gql_wglog.Ast.condition list =
       (match st.toks with
       | Regex re :: r ->
         st.toks <- r;
-        conds := Gql_wglog.Ast.Re re :: !conds
+        conds := Gql_wglog.Ast.Re (Lex.regex ~line:st.line re) :: !conds
       | Punct '=' :: v :: r ->
         st.toks <- r;
         conds := Gql_wglog.Ast.Cmp (Gql_wglog.Ast.Eq, value_of v) :: !conds

@@ -190,7 +190,7 @@ and finish_cmp st ids a =
     match st.toks with
     | Regex re :: r ->
       st.toks <- r;
-      Gql_xmlgl.Ast.Matches (a, re)
+      Gql_xmlgl.Ast.Matches (a, Lex.regex ~line:st.line re)
     | _ -> err st.line "~ expects a /regex/"
   else begin
     let op = parse_cmp_op st in
@@ -280,6 +280,7 @@ let parse_program (src : string) : Gql_xmlgl.Ast.program =
                    (Gql_xmlgl.Ast.Q_elem Gql_xmlgl.Ast.Any_name))
             | Regex re :: r ->
               st.toks <- r;
+              let re = Lex.regex ~line re in
               let pred = parse_where st qids in
               Hashtbl.replace qids name
                 (Gql_xmlgl.Ast.Build.qnode !b ?pred

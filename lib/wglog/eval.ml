@@ -61,8 +61,6 @@ let compile_condition (c : Ast.condition) : Value.t -> bool =
     let re = Gql_regex.Chre.compile pattern in
     fun v -> Gql_regex.Chre.search re (Value.to_string v)
 
-let condition_holds (c : Ast.condition) (v : Value.t) = compile_condition c v
-
 (* --- query-part compilation ---------------------------------------- *)
 
 (* A data edge "carries" a WG-Log label when its name matches; Attribute

@@ -28,11 +28,6 @@ let run_program ?index ?domains (data : Gql_data.Graph.t) (p : Ast.program) :
   let children = List.concat_map (fun r -> run_rule ?index ?domains data r) p.rules in
   { Gql_xml.Tree.name = p.result_root; attrs = []; children }
 
-(** Convenience: evaluate over an XML string, producing an XML string. *)
-let run_program_xml ?dtd (xml : string) (p : Ast.program) : string =
-  let data = Gql_data.Codec.encode_string ?dtd xml in
-  Gql_xml.Printer.element_to_string_pretty (run_program data p)
-
 (** Bindings only — used by benches and the expressiveness matrix. *)
 let query_bindings ?index ?domains (data : Gql_data.Graph.t) (q : Ast.query) =
   Matching.run ?index ?domains data q

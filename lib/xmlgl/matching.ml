@@ -25,8 +25,14 @@ open Gql_data
 type binding = int array
 (** [b.(q)] = data node bound to query node [q]. *)
 
+(** An element node's name test, its regex compiled once per query. *)
+type test = Name of string | Any | Re of Gql_regex.Chre.t
+
 type compiled = {
   query : Ast.query;
+  tests : test option array;
+      (** query node -> its name test; [None] for content and attribute
+          circles *)
   pattern : (Graph.node_kind, Graph.edge) Gql_graph.Homo.pattern;
   qpos : int array;
       (** query node -> pattern node, or -1 for nodes that exist only as
@@ -45,13 +51,19 @@ type compiled = {
           (same order) — what the index-backed provider navigates by *)
 }
 
+let test_of (qn : Ast.qnode) : test option =
+  match qn.q_kind with
+  | Ast.Q_elem (Ast.Exact n) -> Some (Name n)
+  | Ast.Q_elem Ast.Any_name -> Some Any
+  | Ast.Q_elem (Ast.Name_re pattern) -> Some (Re (Gql_regex.Chre.compile pattern))
+  | Ast.Q_content | Ast.Q_attr -> None
+
 let name_test data test : int -> bool =
   let on_label f dn = match Graph.label data dn with Some l -> f l | None -> false in
   match test with
-  | Ast.Exact n -> on_label (String.equal n)
-  | Ast.Any_name -> on_label (fun _ -> true)
-  | Ast.Name_re pattern ->
-    on_label (Gql_regex.Chre.matches (Gql_regex.Chre.compile pattern))
+  | Name n -> on_label (String.equal n)
+  | Any -> on_label (fun _ -> true)
+  | Re re -> on_label (Gql_regex.Chre.matches re)
 
 (* With an index in hand, a name test is an integer compare against the
    node's interned label symbol ([Index.node_sym], -1 for atoms) — one
@@ -61,12 +73,11 @@ let name_test data test : int -> bool =
    race under domains: every domain computes the same byte). *)
 let name_test_sym (idx : Index.t) test : int -> bool =
   match test with
-  | Ast.Exact n ->
+  | Name n ->
     let sym = Index.label_sym idx n in
     fun dn -> sym >= 0 && Index.node_sym idx dn = sym
-  | Ast.Any_name -> fun dn -> Index.node_sym idx dn >= 0
-  | Ast.Name_re pattern ->
-    let re = Gql_regex.Chre.compile pattern in
+  | Any -> fun dn -> Index.node_sym idx dn >= 0
+  | Re re ->
     let n_syms = Gql_data.Symtab.length (Index.symtab idx) in
     let memo = Bytes.make (max 1 n_syms) '\000' in
     fun dn ->
@@ -86,8 +97,8 @@ let name_test_sym (idx : Index.t) test : int -> bool =
 (* Candidate predicate for one query node, with local predicate pushdown.
    [index] specialises the name test to interned-symbol compares; the
    accepted node set is identical either way (scan-vs-index oracle). *)
-let node_predicate ?(index : Index.t option) data (qn : Ast.qnode) :
-    int -> Graph.node_kind -> bool =
+let node_predicate ?(index : Index.t option) data (test : test option)
+    (qn : Ast.qnode) : int -> Graph.node_kind -> bool =
   let local =
     match qn.q_pred with
     | Some p when Predicate.is_local p ->
@@ -95,8 +106,8 @@ let node_predicate ?(index : Index.t option) data (qn : Ast.qnode) :
       Some (fun self -> p { Predicate.data; binding = [||] } ~self:(Some self))
     | Some _ | None -> None
   in
-  match qn.q_kind with
-  | Ast.Q_elem test -> (
+  match test with
+  | Some test -> (
     let name_ok : int -> bool =
       match index with
       | Some idx -> name_test_sym idx test
@@ -107,7 +118,7 @@ let node_predicate ?(index : Index.t option) data (qn : Ast.qnode) :
     | None -> fun dn kind -> is_complex kind && name_ok dn
     | Some holds ->
       fun dn kind -> is_complex kind && name_ok dn && holds (Graph.node_value data dn))
-  | Ast.Q_content | Ast.Q_attr ->
+  | None ->
     fun _ kind ->
       (match kind with
       | Graph.Atom v -> (match local with Some holds -> holds v | None -> true)
@@ -152,6 +163,7 @@ let edge_constraint (k : Ast.qedge_kind) :
 let compile ?(index : Index.t option) (data : Graph.t) (q : Ast.query) :
     compiled =
   let nq = Array.length q.q_nodes in
+  let tests = Array.map test_of q.q_nodes in
   (* Count positive incoming edges per node to find value-join circles,
      and incident non-absent edges to find absent-only nodes. *)
   let incoming = Array.make nq 0 in
@@ -214,7 +226,8 @@ let compile ?(index : Index.t option) (data : Graph.t) (q : Ast.query) :
       | None ->
         (* Absent edge: record the child spec for post-filtering. *)
         absent_checks :=
-          (qpos.(e.q_src), node_predicate data q.q_nodes.(e.q_dst)) :: !absent_checks
+          (qpos.(e.q_src), node_predicate data tests.(e.q_dst) q.q_nodes.(e.q_dst))
+          :: !absent_checks
       | Some c ->
         let dst =
           if is_circle e.q_dst && incoming.(e.q_dst) > 1 then begin
@@ -248,7 +261,8 @@ let compile ?(index : Index.t option) (data : Graph.t) (q : Ast.query) :
   in
   let p_nodes =
     Array.init total (fun pid ->
-        node_predicate ?index data q.q_nodes.(query_of_pid pid))
+        let qid = query_of_pid pid in
+        node_predicate ?index data tests.(qid) q.q_nodes.(qid))
   in
   let pat_to_query_arr = Array.init total query_of_pid in
   let value_join_groups =
@@ -283,6 +297,7 @@ let compile ?(index : Index.t option) (data : Graph.t) (q : Ast.query) :
   in
   {
     query = q;
+    tests;
     pattern = { Gql_graph.Homo.p_nodes; p_edges = List.rev !p_edges };
     qpos;
     pat_to_query = pat_to_query_arr;
@@ -299,14 +314,13 @@ let compile ?(index : Index.t option) (data : Graph.t) (q : Ast.query) :
     posting sets.  Supersets are sound: [Gql_graph.Homo] re-applies the
     node predicate.  Regex name tests run once per distinct label
     instead of once per node. *)
-let index_candidates (idx : Index.t) (qn : Ast.qnode) : Gql_graph.Iset.t =
-  match qn.q_kind with
-  | Ast.Q_elem (Ast.Exact n) -> Index.complex_with_label idx n
-  | Ast.Q_elem Ast.Any_name -> Index.all_complex idx
-  | Ast.Q_elem (Ast.Name_re pattern) ->
-    let re = Gql_regex.Chre.compile pattern in
-    Index.complex_matching idx (fun l -> Gql_regex.Chre.matches re l)
-  | Ast.Q_content | Ast.Q_attr -> (
+let index_candidates (idx : Index.t) (test : test option) (qn : Ast.qnode) :
+    Gql_graph.Iset.t =
+  match test with
+  | Some (Name n) -> Index.complex_with_label idx n
+  | Some Any -> Index.all_complex idx
+  | Some (Re re) -> Index.complex_matching idx (Gql_regex.Chre.matches re)
+  | None -> (
     match qn.q_pred with
     | Some p when Predicate.is_local p -> (
       match Predicate.equality_const p with
@@ -331,7 +345,8 @@ let provider (idx : Index.t) (c : compiled) :
     (Graph.node_kind, Graph.edge) Gql_graph.Homo.provider =
   let navs = Array.of_list (List.map (index_nav idx) c.edge_kinds) in
   Index.provider ~navs idx ~candidates:(fun p ->
-      Some (index_candidates idx c.query.Ast.q_nodes.(c.pat_to_query.(p))))
+      let qid = c.pat_to_query.(p) in
+      Some (index_candidates idx c.tests.(qid) c.query.Ast.q_nodes.(qid)))
 
 (** Translate a pattern-space embedding into query-node space ([-1] for
     nodes that never bind). *)

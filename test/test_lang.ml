@@ -133,6 +133,27 @@ let test_xmlgl_errors () =
   check "bad kind" true
     (bad "xmlgl\nrule\nquery\n  node $a wiggle x\nconstruct\nend\n")
 
+(* A malformed /regex/ literal is the front end's own parse error, on
+   the literal's line, whichever construct holds it. *)
+let expect_bad_regex ~what parse src ~line =
+  match parse src with
+  | _ -> Alcotest.failf "%s: malformed regex accepted" what
+  | exception Gql_lang.Lex.Error (msg, l) ->
+    check_int (what ^ " line") line l;
+    check (what ^ " names the regex") true
+      (String.length msg >= 11 && String.sub msg 0 11 = "bad /regex/")
+
+let test_xmlgl_bad_regex () =
+  let prog node =
+    "xmlgl\nresult r\nrule\nquery\n" ^ node
+    ^ "\nconstruct\n  node c copy $b\n  root c\nend\n"
+  in
+  expect_bad_regex ~what:"content predicate" ~line:5
+    Gql_lang.Xmlgl_text.parse_program
+    (prog "  node $b content where self ~ /(Van/");
+  expect_bad_regex ~what:"element name" ~line:5
+    Gql_lang.Xmlgl_text.parse_program (prog "  node $b elem /(B/")
+
 let unnest_src = {|xmlgl
 rule
 query
@@ -208,6 +229,12 @@ let test_wglog_errors () =
   check "bad path" true
     (bad "wglog\nrule\n  node a Document\n  node b Document\n  pathedge a ((( b\nend\n");
   check "garbage" true (bad "wglog\nrule\n  frobnicate\nend\n")
+
+let test_wglog_bad_regex () =
+  expect_bad_regex ~what:"value condition" ~line:4
+    (Gql_lang.Wglog_text.parse_program ?schema:None)
+    "wglog\nrule\n  node p PERSON\n  value v where /(x/\n  edge p name v\n\
+     \  cedge p odd p\nend\n"
 
 let test_wglog_roundtrip () =
   List.iter
@@ -317,6 +344,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_xmlgl_errors;
           Alcotest.test_case "unnest" `Quick test_xmlgl_unnest_parse;
           Alcotest.test_case "roundtrip" `Quick test_xmlgl_roundtrip;
+          Alcotest.test_case "malformed regex" `Quick test_xmlgl_bad_regex;
         ] );
       ( "wglog",
         [
@@ -327,6 +355,7 @@ let () =
           Alcotest.test_case "schema attach" `Quick test_wglog_schema_attached;
           QCheck_alcotest.to_alcotest prop_xmlgl_parser_total;
           QCheck_alcotest.to_alcotest prop_wglog_parser_total;
+          Alcotest.test_case "malformed regex" `Quick test_wglog_bad_regex;
         ] );
       ( "sniff",
         [

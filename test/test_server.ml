@@ -309,6 +309,39 @@ let test_socket_byte_identity () =
               | Error m -> Alcotest.failf "%s: %s" q.sq_name m)
             Gql_workload.Queries.server_suite))
 
+(* A malformed /regex/ literal answers the front end's parse message, not
+   an internal error, and the connection keeps serving. *)
+let test_bad_regex_err () =
+  with_socket_server (fun server path ->
+      let c = Client.connect_unix path in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let q1 =
+            List.find
+              (fun (q : Gql_workload.Queries.server_query) -> q.sq_name = "Q1")
+              Gql_workload.Queries.server_suite
+          in
+          List.iter
+            (fun src ->
+              (match Client.run c ~doc:"bibliography" (`Source src) with
+              | Error msg ->
+                check_bool "parse message" true (contains ~needle:"bad /regex/" msg);
+                check_bool "not internal" false
+                  (contains ~needle:"internal error" msg)
+              | Ok _ -> Alcotest.failf "malformed regex accepted: %s" src);
+              match Client.run c ~doc:q1.doc (`Source q1.source) with
+              | Ok (_, body) -> check "next request" (direct_body server q1) body
+              | Error m -> Alcotest.failf "next request failed: %s" m)
+            [
+              "xmlgl\nresult r\nrule\nquery\n  node $c content where self ~ /(Van/\n\
+               construct\n  node c copy $c\n  root c\nend\n";
+              "xmlgl\nresult r\nrule\nquery\n  node $b elem /(B/\n\
+               construct\n  node c copy $b\n  root c\nend\n";
+              "wglog\nrule\n  node p PERSON\n  value v where /(x/\n\
+               \  edge p name v\n  cedge p odd p\nend\n";
+            ]))
+
 (* --- prepared queries over the wire -------------------------------------- *)
 
 let test_prepare_and_run () =
@@ -935,6 +968,8 @@ let () =
             test_malformed_programs_yield_err;
           Alcotest.test_case "8 clients x 4 domains determinism" `Quick
             test_concurrent_determinism;
+          Alcotest.test_case "malformed regex yields ERR" `Quick
+            test_bad_regex_err;
         ] );
       ( "cancel",
         [

@@ -127,6 +127,157 @@ let test_lazy_load () =
       check_bool "thawed on demand" true
         (Gql_data.Graph.forced loaded.Gql_core.Gql.graph))
 
+(* --- one representation ------------------------------------------------ *)
+
+module Index = Gql_data.Index
+module G = Gql_data.Graph
+
+let data_graph name =
+  (Gql_core.Gql.load_xml_file ("../data/" ^ name ^ ".xml")).Gql_core.Gql.graph
+
+let with_saved (idx : Index.t) f =
+  let path = Filename.temp_file "gql-store" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      ignore (Store.save ~path idx);
+      f path)
+
+(* A multigraph with parallel edges of every kind, atoms from edge
+   sources, and values that share a bucket while differing in bits
+   ([0.0] / [-0.0], the NaNs) or in type ([12] / ["12"]). *)
+let random_graph seed : G.t =
+  let rng = Random.State.make [| seed |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let values =
+    Gql_data.Value.
+      [| Float 0.0; Float (-0.0); Float nan; String "nan"; Int 12; String "12";
+         Float 12.0; String " 7 "; String "a"; String "b"; Bool true; Int (-3) |]
+  in
+  let g = G.create () in
+  let n = 1 + Random.State.int rng 40 in
+  for _ = 1 to n do
+    if Random.State.int rng 3 = 0 then ignore (G.add_atom g (pick values))
+    else ignore (G.add_complex g (pick [| "A"; "B"; "C"; "nan" |]))
+  done;
+  G.add_root g 0;
+  for _ = 1 to Random.State.int rng (3 * n) do
+    let name = pick [| "x"; "y"; "A" |] in
+    let e =
+      match Random.State.int rng 5 with
+      | 0 -> G.child_edge name
+      | 1 -> G.child_edge ~ord:(Random.State.int rng 3) name
+      | 2 -> G.attr_edge name
+      | 3 -> G.ref_edge name
+      | _ -> G.rel_edge name
+    in
+    G.link g ~src:(Random.State.int rng n) ~dst:(Random.State.int rng n) e
+  done;
+  g
+
+(* Every field a snapshot stores.  Compared with [compare], under which
+   NaN keys equal themselves. *)
+let planes (idx : Index.t) =
+  let csr = idx.Index.csr in
+  ( ( idx.Index.by_label, idx.Index.out_by_name, idx.Index.in_by_name,
+      idx.Index.attr_out, idx.Index.edges_by_name ),
+    (idx.Index.child_out, idx.Index.child_in, idx.Index.ref_out, idx.Index.ref_in),
+    (idx.Index.by_number, idx.Index.by_string, idx.Index.all_complex, idx.Index.all_atoms),
+    ( idx.Index.stride, Gql_data.Symtab.to_array idx.Index.symtab,
+      csr.Gql_graph.Csr.node_syms, csr.Gql_graph.Csr.out_off, csr.Gql_graph.Csr.out_dst,
+      csr.Gql_graph.Csr.in_off, csr.Gql_graph.Csr.in_src ) )
+
+let same_planes_after_roundtrip g =
+  let built = Index.build g in
+  with_saved built (fun path ->
+      let _, loaded = Store.load ~path in
+      compare (planes built) (planes loaded) = 0)
+
+let test_same_planes_data () =
+  List.iter
+    (fun name ->
+      check_bool (name ^ " planes") true
+        (same_planes_after_roundtrip (data_graph name)))
+    [ "bibliography"; "people"; "greengrocer" ]
+
+let prop_same_planes_random =
+  QCheck.Test.make ~name:"built = loaded, random graphs" ~count:200
+    QCheck.(make Gen.(int_range 0 100_000))
+    (fun seed ->
+      same_planes_after_roundtrip (random_graph seed)
+      && same_planes_after_roundtrip
+           (fst (Gql_data.Codec.encode (Gql_workload.Gen.random_tree ~seed 60))))
+
+(* Equal-valued atoms whose keys differ in bits ([0.0] / [-0.0], the
+   NaNs): a file records one key per bucket, and which one is part of
+   the format.  [compare] cannot see the difference; the digest can. *)
+let values_graph () : G.t =
+  let g = G.create () in
+  let r = G.add_complex g "R" in
+  G.add_root g r;
+  List.iteri
+    (fun i v ->
+      let a = G.add_atom g v in
+      let c = G.add_complex g (if i mod 2 = 0 then "E" else "F") in
+      G.link g ~src:r ~dst:c (G.child_edge "e");
+      G.link g ~src:c ~dst:a (G.child_edge ~ord:i "v");
+      G.link g ~src:c ~dst:r (G.ref_edge "up");
+      G.link g ~src:c ~dst:r (G.ref_edge "up");
+      G.link g ~src:r ~dst:a (G.attr_edge "k");
+      G.link g ~src:a ~dst:c (G.rel_edge "back"))
+    Gql_data.Value.
+      [ Float (-0.0); String "12"; Float 0.0; Int 12; String "nan"; Float nan;
+        String "-0.0"; Bool true; String "b"; String "a"; Float 12.0;
+        String " 7 "; Int 7; Float (-0.0); String "a" ];
+  g
+
+(* Snapshot bytes are a format: these digests were taken before the
+   index was built straight into flat planes, and must not move. *)
+let test_pinned_digests () =
+  List.iter
+    (fun (name, g, digest) ->
+      with_saved (Index.build (Lazy.force g)) (fun path ->
+          check (name ^ " digest") digest (Digest.to_hex (Digest.file path))))
+    [
+      ("bibliography", lazy (data_graph "bibliography"), "a211704a1ac3a3847a9e40c7fa36e5a3");
+      ("people", lazy (data_graph "people"), "01b4d7593789b1e5b25114e478afa0bb");
+      ("greengrocer", lazy (data_graph "greengrocer"), "e254ee84cc400ec9c4695f76f7acc720");
+      ("wide", lazy (Gql_workload.Gen.wide_graph ~hubs:16 2000), "a0f93f168ba051cfdd4c033412c836d0");
+      ("deep", lazy (Gql_workload.Gen.deep_graph ~chains:16 2000), "bee551d1a57a7798718fb78f69659897");
+      ("values", lazy (values_graph ()), "3e4ac3b4dcb50987aadc93ce7c355034");
+    ];
+  check_int "format version" 1 Store.format_version
+
+(* Value lookups binary-search their keys, so a file whose value keys
+   are out of order must be refused by both load and validate. *)
+let test_value_key_order () =
+  let idx = Index.build (data_graph "bibliography") in
+  let rev : 'k. 'k Index.postings -> 'k Index.postings =
+   fun p ->
+    check_bool "at least two keys" true (Array.length p.Index.keys >= 2);
+    let keys = Array.copy p.Index.keys in
+    let k = Array.length keys in
+    let last = keys.(k - 1) in
+    keys.(k - 1) <- keys.(0);
+    keys.(0) <- last;
+    { p with Index.keys }
+  in
+  List.iter
+    (fun (section, bad) ->
+      with_saved bad (fun path ->
+          let section_of f =
+            match f () with
+            | _ -> Alcotest.failf "%s out of order accepted" section
+            | exception Store.Invalid_snapshot { section; _ } -> section
+          in
+          check "load names it" section (section_of (fun () -> ignore (Store.load ~path)));
+          check "validate names it" section
+            (section_of (fun () -> ignore (Store.validate path)))))
+    [
+      ("valn_keys", { idx with Index.by_number = rev idx.Index.by_number });
+      ("vals_kblob", { idx with Index.by_string = rev idx.Index.by_string });
+    ]
+
 (* --- corrupt / truncated / wrong-version files ------------------------- *)
 
 let read_bytes path =
@@ -302,4 +453,11 @@ let () =
         ] );
       ( "validate",
         [ Alcotest.test_case "info and file_key" `Quick test_validate_info ] );
+      ( "planes",
+        [
+          Alcotest.test_case "built = loaded, data" `Quick test_same_planes_data;
+          QCheck_alcotest.to_alcotest prop_same_planes_random;
+          Alcotest.test_case "pinned digests" `Quick test_pinned_digests;
+          Alcotest.test_case "value key order" `Quick test_value_key_order;
+        ] );
     ]
