@@ -36,12 +36,14 @@ type digraph = (node_kind, edge) Gql_graph.Digraph.t
     cell so a snapshot loaded from disk ({!Gql_data.Store}) can serve
     indexed queries off its CSR planes without ever paying the cons-list
     rebuild; the {!Digraph} materialises only when an engine actually
-    walks it (scan routes, WG-Log forks, dot rendering).  Graphs built
-    in memory start with the cell already filled, so nothing changes for
-    them. *)
+    walks it (scan routes, WG-Log forks, dot rendering).  Node kinds are
+    read from the snapshot's payload plane while the cell is empty, so
+    testing and rendering nodes never thaws.  Graphs built in memory
+    start with the cell already filled, so nothing changes for them. *)
 type t = {
   cell : digraph option Atomic.t;
   thaw : unit -> digraph;  (** called at most once, under [thaw_lock] *)
+  kinds : node_kind array;  (** node payloads while unforced *)
   hint_nodes : int;  (** counts while unforced — keeps [Index.refresh]'s *)
   hint_edges : int;  (** version check from forcing the thaw *)
   mutable roots : Gql_graph.Digraph.node list;
@@ -71,16 +73,17 @@ let digraph t : digraph =
 let forced t = Option.is_some (Atomic.get t.cell)
 
 let of_digraph g roots : t =
-  { cell = Atomic.make (Some g); thaw = no_thaw; hint_nodes = 0;
-    hint_edges = 0; roots }
+  { cell = Atomic.make (Some g); thaw = no_thaw; kinds = [||];
+    hint_nodes = 0; hint_edges = 0; roots }
 
 let create () : t = of_digraph (Gql_graph.Digraph.create ~dummy:dummy_kind) []
 
-(** A graph whose adjacency thaws on demand.  [n_nodes]/[n_edges] must
-    equal the counts of the graph [thaw] will produce: they are answered
-    from the hints while the cell is empty. *)
-let of_thaw ~n_nodes ~n_edges ~roots thaw : t =
-  { cell = Atomic.make None; thaw; hint_nodes = n_nodes;
+(** A graph whose adjacency thaws on demand.  [kinds] and
+    [n_nodes]/[n_edges] must equal the payloads and counts of the graph
+    [thaw] will produce: they are answered from here while the cell is
+    empty. *)
+let of_thaw ~kinds ~n_nodes ~n_edges ~roots thaw : t =
+  { cell = Atomic.make None; thaw; kinds; hint_nodes = n_nodes;
     hint_edges = n_edges; roots }
 
 (** An independent copy of the data graph; forked snapshots let the
@@ -99,7 +102,10 @@ let rel_edge ?(gen = 0) name = { name; kind = Rel; ord = None; gen }
 
 let link t ~src ~dst e = Gql_graph.Digraph.add_edge (digraph t) ~src ~dst e
 
-let kind t n = Gql_graph.Digraph.payload (digraph t) n
+let kind t n =
+  match Atomic.get t.cell with
+  | Some g -> Gql_graph.Digraph.payload g n
+  | None -> t.kinds.(n)
 
 let label t n =
   match kind t n with

@@ -916,7 +916,7 @@ let load ~path : Graph.t * Index.t =
   check_len mp s_roots roots_arr ~expect:n_roots;
   check_range mp s_roots roots_arr ~lo:0 ~hi:(max 1 n);
   let graph =
-    Graph.of_thaw ~n_nodes:n ~n_edges:m ~roots:(Array.to_list roots_arr)
+    Graph.of_thaw ~kinds:payloads ~n_nodes:n ~n_edges:m ~roots:(Array.to_list roots_arr)
       (fun () -> Gql_graph.Csr.thaw csr ~dummy:Graph.dummy_kind)
   in
   (* posting and per-node planes, blitted *)

@@ -207,6 +207,41 @@ let digraph_vs_csr ~(graph_seed : int) ~(regex_src : string) : verdict =
     check_from 0)
 
 (* ------------------------------------------------------------------ *)
+(* The reference MATCH render                                          *)
+(* ------------------------------------------------------------------ *)
+
+(** The canonical MATCH body written the plain way: every binding
+    rendered to its tab-joined line, the lines sorted with
+    [String.compare] (duplicates kept), the header first, every line
+    newline-terminated.  The reference that {!Gql_match.Eval.render}'s
+    memoised cells and rank sort must reproduce byte for byte. *)
+let reference_body (data : Gql_data.Graph.t) (c : Gql_match.Compile.t)
+    (embs : int array list) : string =
+  let line emb =
+    String.concat "\t"
+      (List.map
+         (fun (r, i) -> Gql_match.Eval.cell data r emb.(i))
+         c.Gql_match.Compile.ret_cols)
+  in
+  String.concat "\n"
+    (Gql_match.Eval.header c :: List.sort String.compare (List.map line embs))
+  ^ "\n"
+
+(* MATCH routes render to [(body, reference body)]; the first route
+   whose two bodies differ, if any.  Checked apart from the route
+   comparison, so a render fault shared by every route still fails. *)
+let reference_mismatch (routes : (string * (string * string, string) result) list) =
+  List.find_map
+    (fun (label, r) ->
+      match r with
+      | Ok (body, reference) when body <> reference ->
+        Some
+          (Printf.sprintf "%s body differs from the reference render (%d vs %d bytes)"
+             label (String.length body) (String.length reference))
+      | Ok _ | Error _ -> None)
+    routes
+
+(* ------------------------------------------------------------------ *)
 (* (c) direct engine vs. algebra planner/exec                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -565,9 +600,10 @@ let match_vs_algebra (transport : transport option) ~seed ~(doc_name : string)
         let route f =
           capture (fun () ->
               let c = Gql_match.Compile.compile q in
-              Gql_match.Eval.body data c (f c))
+              let embs = f c in
+              (Gql_match.Eval.body data c embs, reference_body data c embs))
         in
-        let routes =
+        let checked =
           [
             ("homo-scan", route (fun c -> Gql_match.Eval.bindings data c));
             ( "homo-indexed",
@@ -586,21 +622,25 @@ let match_vs_algebra (transport : transport option) ~seed ~(doc_name : string)
               route (fun c -> Gql_match.Eval.bindings_algebra data c) );
           ]
         in
+        let routes = List.map (fun (l, r) -> (l, Result.map fst r)) checked in
         let disagreement =
-          match routes with
-          | [] -> None
-          | (ref_label, ref_res) :: rest ->
-            List.find_map
-              (fun (label, res) ->
-                match ref_res, res with
-                | Ok a, Ok b when a = b -> None
-                | Error a, Error b when a = b -> None
-                | _ ->
-                  let s = function Ok _ -> "ok" | Error e -> e in
-                  Some
-                    (Printf.sprintf "%s and %s disagree (%s / %s)" ref_label
-                       label (s ref_res) (s res)))
-              rest
+          match reference_mismatch checked with
+          | Some _ as d -> d
+          | None -> (
+            match routes with
+            | [] -> None
+            | (ref_label, ref_res) :: rest ->
+              List.find_map
+                (fun (label, res) ->
+                  match ref_res, res with
+                  | Ok a, Ok b when a = b -> None
+                  | Error a, Error b when a = b -> None
+                  | _ ->
+                    let s = function Ok _ -> "ok" | Error e -> e in
+                    Some
+                      (Printf.sprintf "%s and %s disagree (%s / %s)" ref_label
+                         label (s ref_res) (s res)))
+                rest)
         in
         match disagreement with
         | Some msg -> Fail msg

@@ -46,10 +46,15 @@ type stats = {
   searches : int;  (** product-BFS runs (any direction, any backend) *)
   memo_hits : int;  (** snapshot path-memo hits (bumped by the index) *)
   memo_misses : int;
-  frontier_peak : int;  (** high-water (node,state) pairs in one search *)
+  frontier_peak : int;
+      (** the most (node,state) pairs one search pushed, over the searches
+          since the previous {!stats} call *)
   scratch_reuses : int;  (** searches that reused a warm domain-local scratch *)
 }
 
+(** The counters now.  Reading takes the frontier peak: each call
+    reports the peak of the searches since the call before it, so a
+    [before]/[after] pair, or two METRICS requests, bracket a window. *)
 let stats () =
   {
     compiles = Atomic.get c_compiles;
@@ -57,12 +62,12 @@ let stats () =
     searches = Atomic.get c_searches;
     memo_hits = Atomic.get c_memo_hits;
     memo_misses = Atomic.get c_memo_misses;
-    frontier_peak = Atomic.get c_frontier_peak;
+    frontier_peak = Atomic.exchange c_frontier_peak 0;
     scratch_reuses = Atomic.get c_scratch_reuses;
   }
 
-(* [frontier_peak] is a high-water mark, not a monotone count: a diff
-   reports the after-side value rather than a meaningless subtraction. *)
+(* [frontier_peak] is not a monotone count: [after]'s value already is
+   the peak of the window since [before] was read. *)
 let stats_diff ~(before : stats) (after : stats) : stats =
   {
     compiles = after.compiles - before.compiles;

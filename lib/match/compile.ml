@@ -127,9 +127,14 @@ let finish b : (Graph.node_kind, Graph.edge) Homo.pattern * string list array =
         match node_labels.(i) with
         | [] -> fun (_ : Gql_graph.Digraph.node) (_ : Graph.node_kind) -> true
         | ls ->
+          (* runs per candidate row: no closure per call *)
+          let rec all_equal l = function
+            | [] -> true
+            | x :: rest -> String.equal l x && all_equal l rest
+          in
           fun _ kind ->
             (match kind with
-            | Graph.Complex l -> List.for_all (String.equal l) ls
+            | Graph.Complex l -> all_equal l ls
             | Graph.Atom _ -> false))
   in
   let p_edges = List.rev_map fst b.edges_rev in

@@ -37,38 +37,266 @@ let bindings_algebra
   Gql_algebra.Exec.run ?provider:job.Gql_algebra.Planner.provider ?domains
     data c.Compile.pattern plan
 
-let cell (data : Graph.t) ((r, i) : Ast.ret * int) (emb : int array) : string =
+(** The cell of [node] in a column returning [r]: the node's label or
+    atom, or its value. *)
+let cell (data : Graph.t) (r : Ast.ret) (node : int) : string =
   match r with
   | Ast.Node _ -> (
-    match Graph.kind data emb.(i) with
+    match Graph.kind data node with
     | Graph.Complex l -> l
     | Graph.Atom v -> Value.to_string v)
-  | Ast.Value _ -> Value.to_string (Graph.node_value data emb.(i))
+  | Ast.Value _ -> Value.to_string (Graph.node_value data node)
 
 let header (c : Compile.t) : string =
   String.concat "\t" (List.map (fun (r, _) -> Pp.ret r) c.Compile.ret_cols)
 
-(** Projected rows in canonical order: rendered, then sorted as strings
-    (duplicates kept — bag semantics).  Rendering ticks
-    {!Gql_graph.Deadline} per row and checks it once more before the
-    sort. *)
-let rows (data : Graph.t) (c : Compile.t) (embs : int array list) :
-    string list =
-  let rendered =
-    List.map
-      (fun emb ->
-        Gql_graph.Deadline.tick ();
-        String.concat "\t"
-          (List.map (fun col -> cell data col emb) c.Compile.ret_cols))
-      embs
-  in
-  Gql_graph.Deadline.check ();
-  List.sort String.compare rendered
+module Itbl = Hashtbl.Make (Int)
 
-(** The canonical result text: header line, then sorted rows, newline
-    terminated. *)
+(* Results below this many rows render their lines and sort them as
+   strings; larger ones memoise cells and sort on cell ranks.  Below
+   it, ranking costs more than it saves. *)
+let rank_min_rows = 2048
+
+(* A cell byte <= 0x09 sorts below the tab that joins cells, so the
+   order of the joined lines can differ from the cell-by-cell order. *)
+let sorts_below_tab s =
+  let rec from i = i < String.length s && (String.unsafe_get s i <= '\t' || from (i + 1)) in
+  from 0
+
+(* The body of sorted [lines]: [hdr] first, every line newline-ended,
+   in one buffer of exact size. *)
+let write_lines ~hdr (lines : string list) : string =
+  let total =
+    List.fold_left (fun a l -> a + String.length l + 1) (String.length hdr + 1) lines
+  in
+  let out = Bytes.create total in
+  let pos = ref 0 in
+  let put s =
+    Bytes.blit_string s 0 out !pos (String.length s);
+    Bytes.set out (!pos + String.length s) '\n';
+    pos := !pos + String.length s + 1
+  in
+  put hdr;
+  List.iteri
+    (fun i l ->
+      if i land 1023 = 0 then Gql_graph.Deadline.check ();
+      put l)
+    lines;
+  Bytes.unsafe_to_string out
+
+(* Stable counting sort of [perm] on the rank of each column, last
+   column first: [rk.(row * m + col)] ranks lie in [\[0, n_ranks)]. *)
+let lsd_sort ~m ~n_ranks (rk : int array) (perm : int array) =
+  let n = Array.length perm in
+  let count = Array.make (n_ranks + 1) 0 in
+  let src = ref perm and dst = ref (Array.make n 0) in
+  for j = m - 1 downto 0 do
+    Array.fill count 0 (n_ranks + 1) 0;
+    let s = !src and d = !dst in
+    for i = 0 to n - 1 do
+      let k = rk.((s.(i) * m) + j) + 1 in
+      count.(k) <- count.(k) + 1
+    done;
+    for k = 1 to n_ranks do
+      count.(k) <- count.(k) + count.(k - 1)
+    done;
+    for i = 0 to n - 1 do
+      let row = s.(i) in
+      let k = rk.((row * m) + j) in
+      d.(count.(k)) <- row;
+      count.(k) <- count.(k) + 1
+    done;
+    src := d;
+    dst := s
+  done;
+  if !src != perm then Array.blit !src 0 perm 0 n
+
+(* The body of [n] rows in the order [row 0 .. row (n - 1)], row [r]'s
+   cells being [cell_of_rank.(rk.(r * m + col))]: [hdr] first, cells
+   tab-joined, every line newline-ended, in one buffer of exact size. *)
+let write_ranks ~hdr ~m ~n (cell_of_rank : string array) (rk : int array)
+    (row : int -> int) : string =
+  let total = ref (String.length hdr + 1 + (n * max m 1)) in
+  for x = 0 to (n * m) - 1 do
+    total := !total + String.length cell_of_rank.(rk.(x))
+  done;
+  let out = Bytes.create !total in
+  Bytes.blit_string hdr 0 out 0 (String.length hdr);
+  Bytes.set out (String.length hdr) '\n';
+  let pos = ref (String.length hdr + 1) in
+  for i = 0 to n - 1 do
+    if i land 1023 = 0 then Gql_graph.Deadline.check ();
+    let r = row i in
+    for j = 0 to m - 1 do
+      let s = cell_of_rank.(rk.((r * m) + j)) in
+      Bytes.blit_string s 0 out !pos (String.length s);
+      pos := !pos + String.length s;
+      if j < m - 1 then begin
+        Bytes.set out !pos '\t';
+        incr pos
+      end
+    done;
+    Bytes.set out !pos '\n';
+    incr pos
+  done;
+  Bytes.unsafe_to_string out
+
+(** The canonical result text of a batch: the header line, then one
+    line per row — its cells joined by tabs — in ascending
+    [String.compare] order of the lines, duplicates kept (bag
+    semantics).
+
+    Small results render each line and sort the lines.  Large ones
+    render each distinct cell once — a complex node's cell is its
+    label, memoised per label; atom and value cells are memoised per
+    node — rank the distinct cells by [String.compare], and sort the
+    rows on their rank tuples by a stable counting pass per column,
+    last column first.  Rank-tuple order is the order of the
+    tab-joined lines only when no cell holds a byte <= 0x09, which
+    sorts below the joining tab; a multi-column result with such a
+    cell sorts its joined lines instead.  The body is written into one
+    buffer of exact size.  Rendering ticks {!Gql_graph.Deadline} per
+    row, checks it once more before the sort, and every 1024 rows while
+    writing. *)
+let render (data : Graph.t) (c : Compile.t) (b : Gql_algebra.Exec.batch) :
+    string =
+  let cols = Array.of_list c.Compile.ret_cols in
+  let m = Array.length cols in
+  let n = b.Gql_algebra.Exec.rows and w = b.Gql_algebra.Exec.width in
+  let bd = b.Gql_algebra.Exec.data in
+  (* [line r j] is row [r]'s cell in column [j]; lists sort faster
+     than arrays here ([List.sort] against [Array.stable_sort]) *)
+  let sorted_lines line =
+    let rec cells r j acc = if j < 0 then acc else cells r (j - 1) (line r j :: acc) in
+    let rec lines r acc =
+      if r < 0 then acc
+      else begin
+        Gql_graph.Deadline.tick ();
+        lines (r - 1) (String.concat "\t" (cells r (m - 1) []) :: acc)
+      end
+    in
+    let lines = lines (n - 1) [] in
+    Gql_graph.Deadline.check ();
+    write_lines ~hdr:(header c) (List.sort String.compare lines)
+  in
+  if n < rank_min_rows then
+    sorted_lines (fun r j ->
+        let ret, i = cols.(j) in
+        cell data ret bd.((r * w) + i))
+  else begin
+    (* distinct cells, by id *)
+    let strs = ref (Array.make 16 "") and n_cells = ref 0 in
+    let add s =
+      if !n_cells = Array.length !strs then begin
+        let a = Array.make (2 * !n_cells) "" in
+        Array.blit !strs 0 a 0 !n_cells;
+        strs := a
+      end;
+      !strs.(!n_cells) <- s;
+      incr n_cells;
+      !n_cells - 1
+    in
+    let by_label = Hashtbl.create 16 and by_node = Itbl.create 1024 in
+    let value_cell ret node =
+      match Itbl.find_opt by_node node with
+      | Some id -> id
+      | None ->
+        let id = add (cell data ret node) in
+        Itbl.add by_node node id;
+        id
+    in
+    (* one-entry caches per column: consecutive rows often repeat a
+       node, and a snapshot's labels are shared strings *)
+    let last_node = Array.make m (-1) and last_node_id = Array.make m 0 in
+    let last_label = Array.make m "" and last_label_id = Array.make m (-1) in
+    let cell_id j node =
+      if node = last_node.(j) then last_node_id.(j)
+      else begin
+        let ret = fst cols.(j) in
+        let id =
+          match ret, Graph.kind data node with
+          | Ast.Node _, Graph.Complex l ->
+            if last_label_id.(j) >= 0 && l == last_label.(j) then last_label_id.(j)
+            else begin
+              let id =
+                match Hashtbl.find_opt by_label l with
+                | Some id -> id
+                | None ->
+                  let id = add l in
+                  Hashtbl.add by_label l id;
+                  id
+              in
+              last_label.(j) <- l;
+              last_label_id.(j) <- id;
+              id
+            end
+          | (Ast.Node _ | Ast.Value _), _ -> value_cell ret node
+        in
+        last_node.(j) <- node;
+        last_node_id.(j) <- id;
+        id
+      end
+    in
+    let rk = Array.make (n * m) 0 in
+    for r = 0 to n - 1 do
+      Gql_graph.Deadline.tick ();
+      for j = 0 to m - 1 do
+        rk.((r * m) + j) <- cell_id j bd.((r * w) + snd cols.(j))
+      done
+    done;
+    Gql_graph.Deadline.check ();
+    (* dense ranks: equal strings share one *)
+    let strs = !strs and n_cells = !n_cells in
+    let order = Array.init n_cells Fun.id in
+    Array.stable_sort (fun x y -> String.compare strs.(x) strs.(y)) order;
+    let rank = Array.make n_cells 0 and cell_of_rank = Array.make n_cells "" in
+    let n_ranks = ref 0 in
+    Array.iteri
+      (fun i id ->
+        if i = 0 || not (String.equal strs.(id) strs.(order.(i - 1))) then begin
+          cell_of_rank.(!n_ranks) <- strs.(id);
+          incr n_ranks
+        end;
+        rank.(id) <- !n_ranks - 1)
+      order;
+    for x = 0 to (n * m) - 1 do
+      rk.(x) <- rank.(rk.(x))
+    done;
+    if m >= 2 && Array.exists sorts_below_tab cell_of_rank then
+      sorted_lines (fun r j -> cell_of_rank.(rk.((r * m) + j)))
+    else begin
+      (* rows that arrive in order (one repeated tuple, say) skip the sort *)
+      let in_order =
+        let r = ref 1 and ok = ref true in
+        while !ok && !r < n do
+          let o = !r * m in
+          let j = ref 0 in
+          while !j < m && rk.(o - m + !j) = rk.(o + !j) do
+            incr j
+          done;
+          ok := !j = m || rk.(o - m + !j) < rk.(o + !j);
+          incr r
+        done;
+        !ok
+      in
+      let row =
+        if in_order then Fun.id
+        else begin
+          let perm = Array.init n Fun.id in
+          lsd_sort ~m ~n_ranks:!n_ranks rk perm;
+          Array.get perm
+        end
+      in
+      write_ranks ~hdr:(header c) ~m ~n cell_of_rank rk row
+    end
+  end
+
+(** {!render} over a list of bindings. *)
 let body (data : Graph.t) (c : Compile.t) (embs : int array list) : string =
-  String.concat "\n" (header c :: rows data c embs) ^ "\n"
+  render data c
+    (Gql_algebra.Exec.of_bindings
+       ~width:(Array.length c.Compile.pattern.Gql_graph.Homo.p_nodes)
+       embs)
 
 (** A planned MATCH query: compiled form + physical plan + provider,
     ready to execute against the snapshot it was planned for.  This is
@@ -95,11 +323,11 @@ let prepare ?(index : Index.t option) (data : Graph.t) (q : Ast.query) :
 (** Execute a prepared query; returns the canonical body and row count.
     [data] must be the snapshot [prepare] planned against. *)
 let run_prepared ?domains (data : Graph.t) (p : prepared) : string * int =
-  let embs =
-    Gql_algebra.Exec.run ?provider:p.pr_provider ?domains data
+  let b =
+    Gql_algebra.Exec.run_batch ?provider:p.pr_provider ?domains data
       p.pr_compiled.Compile.pattern p.pr_plan
   in
-  (body data p.pr_compiled embs, List.length embs)
+  (render data p.pr_compiled b, b.Gql_algebra.Exec.rows)
 
 (** The served entry point: compile, plan (the same route `gql serve`
     uses), run through the algebra, render.  Returns the

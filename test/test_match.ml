@@ -167,7 +167,11 @@ let routes db (q : Gql_match.Ast.query) : (string * string) list =
   let graph = db.Gql_core.Gql.graph in
   let idx = Gql_core.Gql.index db in
   let c = Gql_match.Compile.compile q in
-  let body embs = Gql_match.Eval.body graph c embs in
+  let body embs =
+    let b = Gql_match.Eval.body graph c embs in
+    check_str "reference render" (Gql_fuzz.Oracle.reference_body graph c embs) b;
+    b
+  in
   [
     ("homo-scan", body (Gql_match.Eval.bindings graph c));
     ("homo-indexed", body (Gql_match.Eval.bindings ~index:idx graph c));
@@ -236,6 +240,116 @@ let test_eval_matches_facade () =
   check_str "facade equals direct route" body
     (List.assoc "algebra-greedy" (routes db (Gql_core.Gql.parse_match src)))
 
+(* --- the render against the reference ------------------------------------ *)
+
+(* Cells that stress the line order: empty, tabs, bytes below 0x09,
+   newlines, cells that prefix each other, and floats that print as
+   integers or as [-0.0]. *)
+let odd_values =
+  Gql_data.Value.
+    [| String ""; String "\t"; String "a\tb"; String "\001"; String "a\001";
+       String "a"; String "ab"; String "a\n"; String "\nz"; String "\b"; String " ";
+       Float (-0.0); Float 0.0; Float 3.0; Float (-2.0); Float 1e20; Float 0.5;
+       Int 3; Bool true; String "3.0" |]
+
+let odd_labels = [| "A"; "B"; "A\tB"; "A\001"; ""; "a b"; "Z\n" |]
+
+let below_tab s = String.exists (fun ch -> ch <= '\t') s
+
+(* [distinct] atoms, every fifth an odd value, and 40 complex nodes
+   with odd labels, each the parent of a few atoms so its value cell
+   concatenates theirs.  Without [low], no cell holds a byte <= 0x09,
+   so a large result sorts on ranks, not on its joined lines. *)
+let render_graph rng ~low ~distinct =
+  let module G = Gql_data.Graph in
+  let g = G.create () in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let keep s = low || not (below_tab s) in
+  let odd_values =
+    Array.of_list
+      (List.filter (fun v -> keep (Gql_data.Value.to_string v)) (Array.to_list odd_values))
+  and odd_labels = Array.of_list (List.filter keep (Array.to_list odd_labels)) in
+  let atoms =
+    Array.init distinct (fun i ->
+        G.add_atom g
+          (if i mod 5 = 0 then pick odd_values
+           else Gql_data.Value.String (Printf.sprintf "v%d" i)))
+  in
+  let complexes =
+    Array.init 40 (fun _ ->
+        let n = G.add_complex g (pick odd_labels) in
+        for k = 0 to Random.State.int rng 3 do
+          G.link g ~src:n ~dst:(pick atoms) (G.child_edge ~ord:k "")
+        done;
+        n)
+  in
+  (g, Array.append atoms complexes)
+
+let render_queries =
+  [|
+    "MATCH (a)\nRETURN a\n";
+    "MATCH (a)\nRETURN a.value\n";
+    "MATCH (a)-[]->(b)\nRETURN a, b.value\n";
+    "MATCH (a)-[]->(b)-[]->(c)-[]->(d)\nRETURN a, b.value, c, d.value, a.value\n";
+  |]
+
+(* Random bindings — not embeddings: the render only reads the returned
+   slots — over a random graph: 0 rows, one, a few, or thousands (the
+   ranked path), drawn from all nodes or from a handful of rows so
+   duplicates abound. *)
+let prop_render_reference =
+  QCheck.Test.make ~name:"render agrees with the reference" ~count:120
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let data, nodes =
+        render_graph rng ~low:(Random.State.bool rng) ~distinct:(1 + Random.State.int rng 3000)
+      in
+      let c =
+        Gql_match.Compile.compile
+          (Gql_match.Parse.parse
+             render_queries.(Random.State.int rng (Array.length render_queries)))
+      in
+      let k = Array.length c.Gql_match.Compile.pattern.Gql_graph.Homo.p_nodes in
+      let row () = Array.init k (fun _ -> nodes.(Random.State.int rng (Array.length nodes))) in
+      let n =
+        match Random.State.int rng 4 with
+        | 0 -> Random.State.int rng 2
+        | 1 -> Random.State.int rng 50
+        | _ -> 2048 + Random.State.int rng 3000
+      in
+      let embs =
+        if Random.State.bool rng then List.init n (fun _ -> row ())
+        else
+          let pool = Array.init 5 (fun _ -> row ()) in
+          List.init n (fun _ -> Array.copy pool.(Random.State.int rng 5))
+      in
+      Gql_match.Eval.body data c embs = Gql_fuzz.Oracle.reference_body data c embs)
+
+(* Cells holding a byte below the joining tab: rank order would put
+   [a] before [a\001], line order puts ["a\001\tc"] before ["a\tz"].
+   Both render paths must keep line order. *)
+let test_render_below_tab () =
+  let module G = Gql_data.Graph in
+  let g = G.create () in
+  let atom s = G.add_atom g (Gql_data.Value.String s) in
+  let a = atom "a" and a1 = atom "a\001" and z = atom "z" and c' = atom "c" in
+  let c =
+    Gql_match.Compile.compile (Gql_match.Parse.parse "MATCH (x)-[]->(y)\nRETURN x, y\n")
+  in
+  List.iter
+    (fun n ->
+      let embs = List.init n (fun i -> if i mod 2 = 0 then [| a; z |] else [| a1; c' |]) in
+      let body = Gql_match.Eval.body g c embs in
+      check_str
+        (Printf.sprintf "%d rows: reference" n)
+        (Gql_fuzz.Oracle.reference_body g c embs) body;
+      check_str
+        (Printf.sprintf "%d rows: first line" n)
+        "x\ty\na\001\tc\n"
+        (String.sub body 0 9))
+    [ 2; 3000 ]
+
 let () =
   Alcotest.run "gql_match"
     [
@@ -262,5 +376,7 @@ let () =
           Alcotest.test_case "where and paths" `Quick test_eval_where_and_paths;
           Alcotest.test_case "not exists" `Quick test_eval_not_exists;
           Alcotest.test_case "facade" `Quick test_eval_matches_facade;
+          Alcotest.test_case "render below tab" `Quick test_render_below_tab;
+          QCheck_alcotest.to_alcotest prop_render_reference;
         ] );
     ]

@@ -173,8 +173,8 @@ let pattern_gen =
 let subject_gen =
   QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_bound 8))
 
-let prop_nfa_vs_derivative =
-  QCheck.Test.make ~name:"nfa agrees with derivative matcher" ~count:500
+let prop_automaton_vs_derivative =
+  QCheck.Test.make ~name:"automaton agrees with derivative matcher" ~count:500
     (QCheck.make (QCheck.Gen.pair pattern_gen subject_gen))
     (fun (pat, subject) ->
       let t = Chre.compile pat in
@@ -364,7 +364,7 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_nfa_vs_derivative;
+          QCheck_alcotest.to_alcotest prop_automaton_vs_derivative;
           QCheck_alcotest.to_alcotest prop_nullable_matches_empty;
           QCheck_alcotest.to_alcotest prop_glushkov_vs_derivative;
           QCheck_alcotest.to_alcotest prop_search_vs_substrings;

@@ -730,11 +730,13 @@ let xml_fixture name make =
   let xml = lazy (Gql_xml.Printer.to_string (make ())) in
   fun reg -> ignore (Result.get_ok (Registry.load_xml reg ~name (Lazy.force xml)))
 
-(* MATCH: the deadline-mix closure — Exec's Expand and the row render *)
+(* MATCH: the deadline-mix closure — Exec's Expand and the row render —
+   over 600k nodes, so that with batched rows it still runs well over
+   4x the deadline *)
 let heavy_match =
   { h_doc = "deep";
     h_fixture =
-      graph_fixture "deep" (fun () -> Gql_workload.Gen.deep_graph ~chains:64 200_000);
+      graph_fixture "deep" (fun () -> Gql_workload.Gen.deep_graph ~chains:64 600_000);
     h_schema = None;
     h_src = "MATCH (h:Head)-[:next+]->(t:Cell)\nRETURN h, t\n" }
 

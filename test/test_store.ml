@@ -61,7 +61,13 @@ let test_match_routes_identity () =
               let c =
                 Gql_match.Compile.compile (Gql_core.Gql.parse_match q.source)
               in
-              let body f = Gql_match.Eval.body data c (f c) in
+              let body f =
+                let embs = f c in
+                let b = Gql_match.Eval.body data c embs in
+                check (q.sq_name ^ " reference render")
+                  (Gql_fuzz.Oracle.reference_body data c embs) b;
+                b
+              in
               [
                 ("homo-scan", body (fun c -> Gql_match.Eval.bindings data c));
                 ( "homo-indexed",
@@ -429,6 +435,55 @@ let test_validate_info () =
       (* the content key is stable across processes and reads *)
       check "file_key stable" (Store.file_key path) (Store.file_key path))
 
+(* --- the MATCH row path reads a loaded snapshot without thawing it ------ *)
+
+(* Both large-scan queries, served from loaded snapshots of small [wide]
+   and [deep] graphs (over 2048 rows each, so the render ranks cells):
+   node tests and cells read the payload plane, so the graph stays
+   unforced, and the bodies are those of the in-memory graph under the
+   reference render. *)
+let test_row_path_no_thaw () =
+  List.iter
+    (fun (name, g, src) ->
+      let c = Gql_match.Compile.compile (Gql_core.Gql.parse_match src) in
+      let expect = Gql_fuzz.Oracle.reference_body g c (Gql_match.Eval.bindings g c) in
+      with_saved (Gql_core.Gql.index (Gql_core.Gql.of_graph g)) (fun path ->
+          let server = Gql_server.Server.create () in
+          Fun.protect
+            ~finally:(fun () -> Gql_server.Server.stop server)
+            (fun () ->
+              let snap =
+                Result.get_ok
+                  (Registry.load_snapshot (Gql_server.Server.registry server) ~name path)
+              in
+              let loaded = snap.Registry.db.Gql_core.Gql.graph in
+              List.iter
+                (fun round ->
+                  let resp =
+                    Gql_server.Protocol.parse_response
+                      (Gql_server.Server.handle_payload server
+                         (Gql_server.Protocol.render_request
+                            (Gql_server.Protocol.Run
+                               { doc = name; query = `Source src; schema = None;
+                                 deadline_ms = None })))
+                  in
+                  match resp with
+                  | Gql_server.Protocol.Ok_ { body; _ } ->
+                    check (name ^ " " ^ round ^ " body") expect body;
+                    check_bool (name ^ " " ^ round ^ " not thawed") false
+                      (G.forced loaded)
+                  | r ->
+                    Alcotest.failf "%s: %s" name (Gql_server.Protocol.render_response r))
+                [ "cold"; "cached" ])))
+    [
+      ( "wide",
+        Gql_workload.Gen.wide_graph ~hubs:16 4000,
+        "MATCH (h:Hub)-[:rel]->(i:Item)\nRETURN h, i\n" );
+      ( "deep",
+        Gql_workload.Gen.deep_graph ~chains:16 4000,
+        "MATCH (h:Head)-[:next+]->(t:Cell)\nRETURN h, t\n" );
+    ]
+
 let () =
   Alcotest.run "store"
     [
@@ -438,6 +493,7 @@ let () =
           Alcotest.test_case "match routes" `Quick test_match_routes_identity;
           Alcotest.test_case "wglog fixpoint" `Quick test_wglog_identity;
           Alcotest.test_case "lazy thaw" `Quick test_lazy_load;
+          Alcotest.test_case "row path without thaw" `Quick test_row_path_no_thaw;
         ] );
       ( "rejects",
         [
