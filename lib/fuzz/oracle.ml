@@ -24,7 +24,8 @@
     - {!match_vs_algebra}: the textual [MATCH] front-end — parse→pp→parse
       identity, then the canonical result body along the in-process
       routes (direct matcher scan/indexed, algebra fail-first/random
-      order) and through a served round-trip, cold and cached;
+      order), each also against {!reference_body}, and through a
+      served round-trip, cold and cached;
     - {!loaded_vs_frozen}: a freshly frozen index vs. the same index
       after a {!Gql_data.Store} save/load round-trip — every engine
       must answer byte-identically on the loaded flat planes, and the
@@ -580,7 +581,8 @@ let seq_vs_par ~(xml : string) ~(source : string) : verdict =
       round-trip, cold and cached ([Rcache] on).
 
     Routes are compared as rendered text, not embeddings, because the
-    rendered body is the public contract of the textual front-end. *)
+    rendered body is the public contract of the textual front-end; each
+    in-process body must also equal {!reference_body} of its bindings. *)
 let match_vs_algebra (transport : transport option) ~seed ~(doc_name : string)
     ~(xml : string) ~(source : string) : verdict =
   match Gql_match.Parse.parse_result source with
