@@ -229,20 +229,22 @@ let run_batch
           edge_ok ?nav cons data ~src:d.(base + src) ~dst:d.(base + dst))
     | Plan.Cross { left; right; _ } ->
       let l = eval left and r = eval right in
-      let out = Array.make (l.rows * r.rows * k) 0 in
-      let o = ref 0 in
+      (* Sized for one left row and grown per ticked pair, not for the
+         whole product: a deadline stops a product of two large scans
+         while its batch is still small. *)
+      let out = buf_create k ~rows:r.rows in
       for i = 0 to l.rows - 1 do
         for j = 0 to r.rows - 1 do
           Gql_graph.Deadline.tick ();
-          copy_row l.data (i * k) out !o k;
+          let o = buf_next out in
+          copy_row l.data (i * k) out.d o k;
           for x = 0 to k - 1 do
             let v = r.data.((j * k) + x) in
-            if v >= 0 then out.(!o + x) <- v
-          done;
-          o := !o + k
+            if v >= 0 then out.d.(o + x) <- v
+          done
         done
       done;
-      { width = k; rows = l.rows * r.rows; data = out }
+      batch_of_buf out
     | Plan.Filter { input; pred; _ } ->
       let scratch = Array.make k (-1) in
       keep (eval input) (fun d base ->

@@ -51,8 +51,8 @@ let header (c : Compile.t) : string =
   String.concat "\t" (List.map (fun (r, _) -> Pp.ret r) c.Compile.ret_cols)
 
 (* Results below this many rows render their lines and sort them as
-   strings; larger ones render repeated cells once and sort on cell
-   ranks.  Below it, ranking costs more than it saves. *)
+   strings; larger results of labels first try the ranked path of
+   {!render}.  Below it, ranking costs more than it saves. *)
 let rank_min_rows = 2048
 
 (* A cell byte <= 0x09 sorts below the tab that joins cells, so the
@@ -82,38 +82,10 @@ let write_lines ~hdr (lines : string list) : string =
     lines;
   Bytes.unsafe_to_string out
 
-(* Stable counting sort of [perm] on the rank of each column, last
-   column first: [rk.(row * m + col)] ranks lie in [\[0, n_ranks)]. *)
-let lsd_sort ~m ~n_ranks (rk : int array) (perm : int array) =
-  let n = Array.length perm in
-  let count = Array.make (n_ranks + 1) 0 in
-  let src = ref perm and dst = ref (Array.make n 0) in
-  for j = m - 1 downto 0 do
-    Array.fill count 0 (n_ranks + 1) 0;
-    let s = !src and d = !dst in
-    for i = 0 to n - 1 do
-      let k = rk.((s.(i) * m) + j) + 1 in
-      count.(k) <- count.(k) + 1
-    done;
-    for k = 1 to n_ranks do
-      count.(k) <- count.(k) + count.(k - 1)
-    done;
-    for i = 0 to n - 1 do
-      let row = s.(i) in
-      let k = rk.((row * m) + j) in
-      d.(count.(k)) <- row;
-      count.(k) <- count.(k) + 1
-    done;
-    src := d;
-    dst := s
-  done;
-  if !src != perm then Array.blit !src 0 perm 0 n
-
-(* The body of [n] rows in the order [row 0 .. row (n - 1)], row [r]'s
-   cells being [cell_of_rank.(rk.(r * m + col))]: [hdr] first, cells
-   tab-joined, every line newline-ended, in one buffer of exact size. *)
-let write_ranks ~hdr ~m ~n (cell_of_rank : string array) (rk : int array)
-    (row : int -> int) : string =
+(* The body of [n] rows, row [r]'s cells being
+   [cell_of_rank.(rk.(r * m + col))]: [hdr] first, cells tab-joined,
+   every line newline-ended, in one buffer of exact size. *)
+let write_ranks ~hdr ~m ~n (cell_of_rank : string array) (rk : int array) : string =
   let total = ref (String.length hdr + 1 + (n * max m 1)) in
   for x = 0 to (n * m) - 1 do
     total := !total + String.length cell_of_rank.(rk.(x))
@@ -124,9 +96,8 @@ let write_ranks ~hdr ~m ~n (cell_of_rank : string array) (rk : int array)
   let pos = ref (String.length hdr + 1) in
   for i = 0 to n - 1 do
     if i land 1023 = 0 then Gql_graph.Deadline.check ();
-    let r = row i in
     for j = 0 to m - 1 do
-      let s = cell_of_rank.(rk.((r * m) + j)) in
+      let s = cell_of_rank.(rk.((i * m) + j)) in
       Bytes.blit_string s 0 out !pos (String.length s);
       pos := !pos + String.length s;
       if j < m - 1 then begin
@@ -139,22 +110,25 @@ let write_ranks ~hdr ~m ~n (cell_of_rank : string array) (rk : int array)
   done;
   Bytes.unsafe_to_string out
 
+(* A returned node that is an atom: its cell is not a label. *)
+exception Not_label
+
 (** The canonical result text of a batch: the header line, then one
     line per row — its cells joined by tabs — in ascending
     [String.compare] order of the lines, duplicates kept (bag
     semantics).
 
-    Small results render each line and sort the lines.  Large ones
-    render each cell once per run of consecutive rows holding the same
-    node, and a complex node's cell — its label — once per label; they
-    rank the cells by [String.compare] (equal strings share a rank) and
-    sort the rows on their rank tuples by a stable counting pass per
-    column, last column first.  Rank-tuple order is the order of the
-    tab-joined lines only when no cell holds a byte <= 0x09, which
-    sorts below the joining tab; a multi-column result with such a
-    cell sorts its joined lines instead.  The body is written into one
-    buffer of exact size.  Rendering ticks {!Gql_graph.Deadline} per
-    row, checks it once more before the sort, and every 1024 rows while
+    Most results render each line and sort the lines.  A large result
+    whose every cell is a complex node's label — a scan of one label
+    joined to another — renders each label once and ranks the labels
+    by [String.compare]; when its rows arrive in the order of their
+    rank tuples (one repeated tuple, say) it is written without a sort.
+    Rank-tuple order is the order of the tab-joined lines only when no
+    cell holds a byte <= 0x09, which sorts below the joining tab; a
+    multi-column result with such a cell, or whose rows are out of
+    order, sorts its joined lines.  The body is written into one buffer
+    of exact size.  Rendering ticks {!Gql_graph.Deadline} per row,
+    checks it once more before the sort, and every 1024 rows while
     writing. *)
 let render (data : Graph.t) (c : Compile.t) (b : Gql_algebra.Exec.batch) :
     string =
@@ -177,91 +151,58 @@ let render (data : Graph.t) (c : Compile.t) (b : Gql_algebra.Exec.batch) :
     Gql_graph.Deadline.check ();
     write_lines ~hdr:(header c) (List.sort String.compare lines)
   in
-  if n < rank_min_rows then
-    sorted_lines (fun r j ->
-        let ret, i = cols.(j) in
-        cell data ret bd.((r * w) + i))
+  let cell_line r j =
+    let ret, i = cols.(j) in
+    cell data ret bd.((r * w) + i)
+  in
+  let node_cols = Array.for_all (function Ast.Node _, _ -> true | Ast.Value _, _ -> false) cols in
+  if n < rank_min_rows || not node_cols then sorted_lines cell_line
   else begin
-    (* the rendered cells, by id *)
-    let strs = ref (Array.make 16 "") and n_cells = ref 0 in
-    let add s =
-      if !n_cells = Array.length !strs then begin
-        let a = Array.make (2 * !n_cells) "" in
-        Array.blit !strs 0 a 0 !n_cells;
-        strs := a
-      end;
-      !strs.(!n_cells) <- s;
-      incr n_cells;
-      !n_cells - 1
-    in
-    let by_label = Hashtbl.create 16 in
-    (* Labels are memoised; atom and value cells only across consecutive
-       rows, through the per-column one-entry caches (consecutive rows
-       often repeat a node, and a snapshot's labels are shared strings).
-       A per-node hash table made a 10,738-row result of distinct value
-       cells 25% slower (people document, 2-vCPU x86) and sped up no
-       measured query. *)
-    let last_node = Array.make m (-1) and last_node_id = Array.make m 0 in
-    let last_label = Array.make m "" and last_label_id = Array.make m (-1) in
-    let cell_id j node =
-      if node = last_node.(j) then last_node_id.(j)
-      else begin
-        let ret = fst cols.(j) in
-        let id =
-          match ret, Graph.kind data node with
-          | Ast.Node _, Graph.Complex l ->
-            if last_label_id.(j) >= 0 && l == last_label.(j) then last_label_id.(j)
-            else begin
-              let id =
-                match Hashtbl.find_opt by_label l with
-                | Some id -> id
-                | None ->
-                  let id = add l in
-                  Hashtbl.add by_label l id;
-                  id
-              in
-              last_label.(j) <- l;
-              last_label_id.(j) <- id;
+    (* label ids in order of first sight; a per-column cache skips the
+       table while a column repeats its label (a snapshot's labels are
+       shared strings) *)
+    let ids = Hashtbl.create 16 in
+    let last = Array.make m "" and last_id = Array.make m (-1) in
+    let label_id j node =
+      match Graph.kind data node with
+      | Graph.Atom _ -> raise_notrace Not_label
+      | Graph.Complex l ->
+        if last_id.(j) >= 0 && l == last.(j) then last_id.(j)
+        else begin
+          let id =
+            match Hashtbl.find_opt ids l with
+            | Some id -> id
+            | None ->
+              let id = Hashtbl.length ids in
+              Hashtbl.add ids l id;
               id
-            end
-          | (Ast.Node _ | Ast.Value _), _ -> add (cell data ret node)
-        in
-        last_node.(j) <- node;
-        last_node_id.(j) <- id;
-        id
-      end
+          in
+          last.(j) <- l;
+          last_id.(j) <- id;
+          id
+        end
     in
-    let rk = Array.make (n * m) 0 in
-    for r = 0 to n - 1 do
-      Gql_graph.Deadline.tick ();
-      for j = 0 to m - 1 do
-        rk.((r * m) + j) <- cell_id j bd.((r * w) + snd cols.(j))
-      done
-    done;
-    Gql_graph.Deadline.check ();
-    (* dense ranks: equal strings share one *)
-    let strs = !strs and n_cells = !n_cells in
-    let order =
-      Array.of_list
-        (List.sort (fun x y -> String.compare strs.(x) strs.(y)) (List.init n_cells Fun.id))
-    in
-    let rank = Array.make n_cells 0 and cell_of_rank = Array.make n_cells "" in
-    let n_ranks = ref 0 in
-    Array.iteri
-      (fun i id ->
-        if i = 0 || not (String.equal strs.(id) strs.(order.(i - 1))) then begin
-          cell_of_rank.(!n_ranks) <- strs.(id);
-          incr n_ranks
-        end;
-        rank.(id) <- !n_ranks - 1)
-      order;
-    for x = 0 to (n * m) - 1 do
-      rk.(x) <- rank.(rk.(x))
-    done;
-    if m >= 2 && Array.exists sorts_below_tab cell_of_rank then
-      sorted_lines (fun r j -> cell_of_rank.(rk.((r * m) + j)))
-    else begin
-      (* rows that arrive in order (one repeated tuple, say) skip the sort *)
+    match
+      let rk = Array.make (n * m) 0 in
+      for r = 0 to n - 1 do
+        Gql_graph.Deadline.tick ();
+        for j = 0 to m - 1 do
+          rk.((r * m) + j) <- label_id j bd.((r * w) + snd cols.(j))
+        done
+      done;
+      rk
+    with
+    | exception Not_label -> sorted_lines cell_line
+    | rk ->
+      Gql_graph.Deadline.check ();
+      (* distinct labels, so ranks are positions in sorted order *)
+      let cell_of_rank = Array.of_seq (Hashtbl.to_seq_keys ids) in
+      Array.sort String.compare cell_of_rank;
+      let rank = Array.make (Array.length cell_of_rank) 0 in
+      Array.iteri (fun r l -> rank.(Hashtbl.find ids l) <- r) cell_of_rank;
+      for x = 0 to (n * m) - 1 do
+        rk.(x) <- rank.(rk.(x))
+      done;
       let in_order =
         let r = ref 1 and ok = ref true in
         while !ok && !r < n do
@@ -275,16 +216,9 @@ let render (data : Graph.t) (c : Compile.t) (b : Gql_algebra.Exec.batch) :
         done;
         !ok
       in
-      let row =
-        if in_order then Fun.id
-        else begin
-          let perm = Array.init n Fun.id in
-          lsd_sort ~m ~n_ranks:!n_ranks rk perm;
-          Array.get perm
-        end
-      in
-      write_ranks ~hdr:(header c) ~m ~n cell_of_rank rk row
-    end
+      if in_order && not (m >= 2 && Array.exists sorts_below_tab cell_of_rank) then
+        write_ranks ~hdr:(header c) ~m ~n cell_of_rank rk
+      else sorted_lines (fun r j -> cell_of_rank.(rk.((r * m) + j)))
   end
 
 (** {!render} over a list of bindings. *)

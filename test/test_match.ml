@@ -283,7 +283,7 @@ let render_graph rng ~low ~distinct =
         done;
         n)
   in
-  (g, Array.append atoms complexes)
+  (g, Array.append atoms complexes, complexes)
 
 let render_queries =
   [|
@@ -294,17 +294,20 @@ let render_queries =
   |]
 
 (* Random bindings — not embeddings: the render only reads the returned
-   slots — over a random graph: 0 rows, one, a few, or thousands (the
-   ranked path), drawn from all nodes or from a handful of rows so
-   duplicates abound. *)
+   slots — over a random graph: 0 rows, one, a few, or thousands, drawn
+   from all nodes or from complex nodes only (so a large result of
+   labels takes the ranked path), and either freely or from one to five
+   rows so duplicates abound; one row repeated arrives in order, so its
+   result is written from ranks without a sort. *)
 let prop_render_reference =
   QCheck.Test.make ~name:"render agrees with the reference" ~count:120
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Random.State.make [| seed |] in
-      let data, nodes =
+      let data, all, complexes =
         render_graph rng ~low:(Random.State.bool rng) ~distinct:(1 + Random.State.int rng 3000)
       in
+      let nodes = if Random.State.bool rng then all else complexes in
       let c =
         Gql_match.Compile.compile
           (Gql_match.Parse.parse
@@ -321,34 +324,63 @@ let prop_render_reference =
       let embs =
         if Random.State.bool rng then List.init n (fun _ -> row ())
         else
-          let pool = Array.init 5 (fun _ -> row ()) in
-          List.init n (fun _ -> Array.copy pool.(Random.State.int rng 5))
+          let pool = Array.init (1 + Random.State.int rng 5) (fun _ -> row ()) in
+          List.init n (fun _ -> Array.copy pool.(Random.State.int rng (Array.length pool)))
       in
       Gql_match.Eval.body data c embs = Gql_fuzz.Oracle.reference_body data c embs)
 
 (* Cells holding a byte below the joining tab: rank order would put
    [a] before [a\001], line order puts ["a\001\tc"] before ["a\tz"].
-   Both render paths must keep line order. *)
+   Every render path must keep line order: small results, large
+   results of atoms, and large results of labels, whose rows here
+   arrive in rank order (all [a z] rows first) and so would be written
+   from their ranks without the check. *)
 let test_render_below_tab () =
   let module G = Gql_data.Graph in
-  let g = G.create () in
-  let atom s = G.add_atom g (Gql_data.Value.String s) in
-  let a = atom "a" and a1 = atom "a\001" and z = atom "z" and c' = atom "c" in
   let c =
     Gql_match.Compile.compile (Gql_match.Parse.parse "MATCH (x)-[]->(y)\nRETURN x, y\n")
   in
   List.iter
-    (fun n ->
-      let embs = List.init n (fun i -> if i mod 2 = 0 then [| a; z |] else [| a1; c' |]) in
-      let body = Gql_match.Eval.body g c embs in
-      check_str
-        (Printf.sprintf "%d rows: reference" n)
-        (Gql_fuzz.Oracle.reference_body g c embs) body;
-      check_str
-        (Printf.sprintf "%d rows: first line" n)
-        "x\ty\na\001\tc\n"
-        (String.sub body 0 9))
-    [ 2; 3000 ]
+    (fun (kind, node) ->
+      let g = G.create () in
+      let node = node g in
+      let a = node "a" and a1 = node "a\001" and z = node "z" and c' = node "c" in
+      List.iter
+        (fun n ->
+          let embs = List.init n (fun i -> if 2 * i < n then [| a; z |] else [| a1; c' |]) in
+          let body = Gql_match.Eval.body g c embs in
+          check_str
+            (Printf.sprintf "%s, %d rows: reference" kind n)
+            (Gql_fuzz.Oracle.reference_body g c embs) body;
+          check_str
+            (Printf.sprintf "%s, %d rows: first line" kind n)
+            "x\ty\na\001\tc\n"
+            (String.sub body 0 9))
+        [ 2; 3000 ])
+    [ ("atoms", fun g s -> G.add_atom g (Gql_data.Value.String s));
+      ("labels", fun g s -> G.add_complex g s) ]
+
+(* A two-component MATCH joins its components with Cross.  Under a
+   deadline the product must stop while its batch is small: 3000 x 3000
+   pairs would fill 18M words, far more than 10 ms of work allocates. *)
+let test_cross_deadline () =
+  let g = Gql_workload.Gen.wide_graph ~hubs:3000 3000 in
+  let p =
+    Gql_match.Eval.prepare g
+      (Gql_match.Parse.parse "MATCH (h:Hub)\nMATCH (i:Item)\nRETURN h, i\n")
+  in
+  let full_bytes = 3000. *. 3000. *. 2. *. float (Sys.word_size / 8) in
+  let before = Gc.allocated_bytes () in
+  (match
+     Gql_graph.Deadline.with_deadline
+       (Unix.gettimeofday () +. 0.01)
+       (fun () -> Gql_match.Eval.run_prepared ~domains:1 g p)
+   with
+  | exception Gql_graph.Deadline.Exceeded -> ()
+  | _, rows -> Alcotest.failf "a 9M-row product finished in 10 ms (%d rows)" rows);
+  let used = Gc.allocated_bytes () -. before in
+  if used > full_bytes /. 2. then
+    Alcotest.failf "the cancelled product allocated %.0f MB" (used /. 1e6)
 
 let () =
   Alcotest.run "gql_match"
@@ -378,5 +410,6 @@ let () =
           Alcotest.test_case "facade" `Quick test_eval_matches_facade;
           Alcotest.test_case "render below tab" `Quick test_render_below_tab;
           QCheck_alcotest.to_alcotest prop_render_reference;
+          Alcotest.test_case "cross under a deadline" `Quick test_cross_deadline;
         ] );
     ]

@@ -740,6 +740,14 @@ let heavy_match =
     h_schema = None;
     h_src = "MATCH (h:Head)-[:next+]->(t:Cell)\nRETURN h, t\n" }
 
+(* MATCH: two components, which the plan joins with Cross *)
+let heavy_cross =
+  { h_doc = "pairs";
+    h_fixture =
+      graph_fixture "pairs" (fun () -> Gql_workload.Gen.wide_graph ~hubs:2000 2000);
+    h_schema = None;
+    h_src = "MATCH (h:Hub)\nMATCH (i:Item)\nRETURN h, i\n" }
+
 (* XML-GL: Q4's value join, where Homo backtracks over every pair *)
 let heavy_xmlgl =
   { h_doc = "greengrocer";
@@ -983,6 +991,7 @@ let () =
             (check_cancel ~domains:2 heavy_xmlgl);
           Alcotest.test_case "1 worker freed for a short RUN" `Quick
             test_cancel_frees_worker;
+          Alcotest.test_case "MATCH cross product" `Quick (check_cancel heavy_cross);
         ] );
       ( "cow-fixpoint",
         [
