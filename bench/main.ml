@@ -11,8 +11,8 @@
    EXPERIMENTS.md. *)
 
 (* --seed N shifts every workload-generator seed: each run stays fully
-   deterministic, but the whole trajectory (and E12's request mix) can
-   be re-rolled reproducibly. *)
+   deterministic, but the whole trajectory can be re-rolled
+   reproducibly. *)
 let seed_base = ref 0
 let seed k = k + !seed_base
 
@@ -131,9 +131,8 @@ let write_json path =
          ("records", J_list (List.rev !records));
        ]);
   Buffer.add_char buf '\n';
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (Buffer.contents buf));
   Printf.printf "\nwrote %s (%d records)\n" path (List.length !records)
 
 (* ------------------------------------------------------------------ *)
@@ -540,178 +539,6 @@ let e11 () =
     [ ("point", point_query ()); ("label-join", join_query ()) ]
 
 (* ------------------------------------------------------------------ *)
-(* E12 — the query service: closed-loop throughput and latency          *)
-(* ------------------------------------------------------------------ *)
-
-let percentile_us sorted q =
-  if Array.length sorted = 0 then 0.0
-  else
-    sorted.(min (Array.length sorted - 1)
-              (int_of_float (ceil (q *. float_of_int (Array.length sorted))) - 1))
-    *. 1e6
-
-let e12 () =
-  header "E12  gql serve: closed-loop clients vs single-threaded direct evaluation";
-  let clients = 4 and mix_n = 160 in
-  let mix = Gql_workload.Queries.server_mix ~seed:!seed_base mix_n in
-  (* the served corpus: three documents + the WG-Log restaurant base *)
-  let config =
-    { Gql_server.Server.default_config with workers = Some clients; result_cache = 512 }
-  in
-  let server = Gql_server.Server.create ~config () in
-  let reg = Gql_server.Server.registry server in
-  let load name doc =
-    match Gql_server.Registry.load_xml reg ~name (Gql_xml.Printer.to_string doc) with
-    | Ok _ -> ()
-    | Error m -> failwith ("E12 load " ^ name ^ ": " ^ m)
-  in
-  load "bibliography" (Gql_workload.Gen.bibliography ~seed:(seed 61) 100);
-  load "people" (Gql_workload.Gen.people ~seed:(seed 62) 400);
-  load "greengrocer" (Gql_workload.Gen.greengrocer ~seed:(seed 63) 800);
-  ignore
-    (Gql_server.Registry.add_graph reg ~name:"restaurants"
-       (Gql_workload.Gen.restaurants ~seed:(seed 64) 200));
-  (* baseline: what a process without the service pays per request —
-     parse + evaluate, one thread, same request stream *)
-  let direct (q : Gql_workload.Queries.server_query) =
-    let snap = Option.get (Gql_server.Registry.find reg q.doc) in
-    let graph = snap.Gql_server.Registry.db.Gql_core.Gql.graph in
-    match Gql_core.Gql.language_of_source q.source with
-    | `Xmlgl ->
-      let p = Gql_core.Gql.parse_xmlgl q.source in
-      ignore
-        (Gql_core.Gql.to_xml_string
-           (Gql_xmlgl.Engine.run_program ~index:snap.Gql_server.Registry.index
-              graph p))
-    | `Wglog ->
-      let schema =
-        match q.schema with
-        | Some "restaurant" -> Some Gql_wglog.Schema.restaurant_schema
-        | Some "hyperdoc" -> Some Gql_wglog.Schema.hyperdoc_schema
-        | _ -> None
-      in
-      let p = Gql_core.Gql.parse_wglog ?schema q.source in
-      ignore
-        (Gql_server.Server.wglog_stats_line
-           (Gql_wglog.Eval.run (Gql_server.Registry.fork snap) p))
-    | `Match ->
-      let q = Gql_core.Gql.parse_match q.source in
-      ignore
-        (Gql_match.Eval.run ~index:snap.Gql_server.Registry.index graph q)
-    | `Unknown -> failwith "E12: unknown query language"
-  in
-  let t0 = Unix.gettimeofday () in
-  List.iter direct mix;
-  let base_s = Unix.gettimeofday () -. t0 in
-  let base_rps = float_of_int mix_n /. base_s in
-  (* closed loop: [clients] threads over a Unix socket, round-robin
-     slices of the same stream, per-request latency recorded *)
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "gql-e12-%d.sock" (Unix.getpid ()))
-  in
-  let _listener = Gql_server.Server.listen server (Unix.ADDR_UNIX sock) in
-  let slices =
-    Array.init clients (fun k ->
-        List.filteri (fun i _ -> i mod clients = k) mix |> Array.of_list)
-  in
-  let latencies = Array.map (fun slice -> Array.make (Array.length slice) 0.0) slices in
-  let run_slice k () =
-    let c = Gql_server.Client.connect_unix sock in
-    Array.iteri
-      (fun i (q : Gql_workload.Queries.server_query) ->
-        let t = Unix.gettimeofday () in
-        (match
-           Gql_server.Client.run c ~doc:q.doc ?schema:q.schema (`Source q.source)
-         with
-        | Ok _ -> ()
-        | Error m -> failwith ("E12 client: " ^ m));
-        latencies.(k).(i) <- Unix.gettimeofday () -. t)
-      slices.(k);
-    ignore (Gql_server.Client.quit c)
-  in
-  let t0 = Unix.gettimeofday () in
-  let threads = Array.init clients (fun k -> Thread.create (run_slice k) ()) in
-  Array.iter Thread.join threads;
-  let loop_s = Unix.gettimeofday () -. t0 in
-  let served_rps = float_of_int mix_n /. loop_s in
-  let all_lat = Array.concat (Array.to_list latencies) in
-  Array.sort compare all_lat;
-  let p50 = percentile_us all_lat 0.50
-  and p95 = percentile_us all_lat 0.95
-  and p99 = percentile_us all_lat 0.99 in
-  (* cold vs result-cache hit: byte-identical content would reuse the
-     snapshot (digest key, version unchanged) and leave the cached result
-     valid, so each re-LOAD alternates between two generator seeds; every
-     cold RUN then follows a real version bump and is a guaranteed miss *)
-  let c = Gql_server.Client.connect_unix sock in
-  let q4 = List.find (fun (q : Gql_workload.Queries.server_query) -> q.sq_name = "Q4")
-      Gql_workload.Queries.server_suite in
-  let run_once () =
-    let t = Unix.gettimeofday () in
-    (match Gql_server.Client.run c ~doc:"greengrocer" (`Source q4.source) with
-    | Ok _ -> ()
-    | Error m -> failwith ("E12 cold/hit: " ^ m));
-    (Unix.gettimeofday () -. t) *. 1000.0
-  in
-  let colds =
-    List.init 3 (fun i ->
-        let variant = if i mod 2 = 0 then seed 65 else seed 63 in
-        load "greengrocer" (Gql_workload.Gen.greengrocer ~seed:variant 800);
-        run_once ())
-  in
-  let hits = List.init 10 (fun _ -> run_once ()) in
-  let cold_ms = List.fold_left min (List.hd colds) colds in
-  let hit_ms = List.fold_left min (List.hd hits) hits in
-  let cache_speedup = cold_ms /. hit_ms in
-  (* exercise the deadline path once so timeouts are non-zero *)
-  (match
-     Gql_server.Client.run c ~doc:"greengrocer" ~deadline_ms:0.0 (`Source q4.source)
-   with
-  | Error _ -> ()
-  | Ok _ -> failwith "E12: deadline=0 should time out");
-  let server_metrics =
-    match Gql_server.Client.metrics c with
-    | Ok (_, body) -> Gql_server.Metrics.parse_body body
-    | Error m -> failwith ("E12 metrics: " ^ m)
-  in
-  ignore (Gql_server.Client.quit c);
-  Gql_server.Server.stop server;
-  (try Unix.unlink sock with Unix.Unix_error _ -> ());
-  let m key = try List.assoc key server_metrics with Not_found -> "?" in
-  row "request mix: %d requests over 4 docs (seed %d), %d client threads\n"
-    mix_n !seed_base clients;
-  row "%-28s  %12.1f req/s\n" "direct single-threaded" base_rps;
-  row "%-28s  %12.1f req/s  (%.2fx)\n" "served closed-loop" served_rps
-    (served_rps /. base_rps);
-  row "client latency: p50 %.0f us  p95 %.0f us  p99 %.0f us\n" p50 p95 p99;
-  row "server latency: p50 %s us  p95 %s us  p99 %s us  (%s reqs)\n"
-    (m "latency_p50_us") (m "latency_p95_us") (m "latency_p99_us") (m "requests");
-  row "result cache: cold %.2f ms  hit %.3f ms  (%.0fx);  hits=%s misses=%s  timeouts=%s\n"
-    cold_ms hit_ms cache_speedup (m "result_cache_hits") (m "result_cache_misses")
-    (m "timeouts");
-  if served_rps < base_rps then
-    row "WARNING: served throughput below single-threaded baseline\n";
-  if cache_speedup < 10.0 then
-    row "WARNING: result-cache hit less than 10x faster than cold query\n";
-  let mi key = try int_of_string (m key) with _ -> -1 in
-  record ~experiment:"e12"
-    [ ("requests", J_int mix_n); ("clients", J_int clients);
-      ("seed", J_int !seed_base);
-      ("baseline_rps", J_num base_rps); ("served_rps", J_num served_rps);
-      ("speedup_vs_baseline", J_num (served_rps /. base_rps));
-      ("client_p50_us", J_num p50); ("client_p95_us", J_num p95);
-      ("client_p99_us", J_num p99);
-      ("server_p50_us", J_int (mi "latency_p50_us"));
-      ("server_p95_us", J_int (mi "latency_p95_us"));
-      ("server_p99_us", J_int (mi "latency_p99_us"));
-      ("cold_ms", J_num cold_ms); ("cache_hit_ms", J_num hit_ms);
-      ("cache_speedup", J_num cache_speedup);
-      ("result_cache_hits", J_int (mi "result_cache_hits"));
-      ("result_cache_misses", J_int (mi "result_cache_misses"));
-      ("timeouts", J_int (mi "timeouts")) ]
-
-(* ------------------------------------------------------------------ *)
 (* E13 — domain-parallel scaling                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -847,9 +674,7 @@ let pr4_median ~(anchor : string) ~(field : string) : float option =
   let path = "BENCH_PR4.json" in
   if not (Sys.file_exists path) then None
   else begin
-    let ic = open_in_bin path in
-    let contents = really_input_string ic (in_channel_length ic) in
-    close_in ic;
+    let contents = In_channel.with_open_bin path In_channel.input_all in
     match find_sub contents anchor 0 with
     | None -> None
     | Some p -> (
@@ -1091,9 +916,7 @@ let pr8_field ~(anchor : string) ~(field : string) : float option =
   let path = "BENCH_PR8.json" in
   if not (Sys.file_exists path) then None
   else begin
-    let ic = open_in_bin path in
-    let contents = really_input_string ic (in_channel_length ic) in
-    close_in ic;
+    let contents = In_channel.with_open_bin path In_channel.input_all in
     match find_sub contents anchor 0 with
     | None -> None
     | Some p -> (
@@ -1485,7 +1308,7 @@ let e17 () =
 let all =
   [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
-    ("e12", e12); ("e13", e13); ("e14", e14); ("e13v2", e13v2);
+    ("e13", e13); ("e14", e14); ("e13v2", e13v2);
     ("e16", e16); ("e17", e17) ]
 
 let () =
@@ -1519,6 +1342,6 @@ let () =
         match List.assoc_opt (String.lowercase_ascii name) all with
         | Some f -> f ()
         | None ->
-          Printf.eprintf "unknown experiment %s (e1..e14, e16, e17, e13v2, micro)\n" name)
+          Printf.eprintf "unknown experiment %s (e1..e11, e13, e14, e16, e17, e13v2, micro)\n" name)
       names);
   if json then write_json "BENCH_PR10.json"

@@ -13,11 +13,10 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path text =
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text)
 
 let language_of = Gql_core.Gql.language_of_source
 
@@ -109,9 +108,7 @@ let run_cmd =
           let text = Gql_core.Gql.to_xml_string result in
           (match out with
           | Some f ->
-            let oc = open_out f in
-            output_string oc text;
-            close_out oc;
+            write_file f text;
             Printf.printf "wrote %s\n" f
           | None -> print_string text)
         | `Wglog ->
@@ -123,9 +120,7 @@ let run_cmd =
             stats.edges_added;
           (match out with
           | Some f ->
-            let oc = open_out f in
-            output_string oc (Gql_data.Graph.to_dot db.Gql_core.Gql.graph);
-            close_out oc;
+            write_file f (Gql_data.Graph.to_dot db.Gql_core.Gql.graph);
             Printf.printf "wrote saturated graph to %s (DOT)\n" f
           | None -> ())
         | `Match ->
@@ -133,9 +128,7 @@ let run_cmd =
           let body, _rows = Gql_core.Gql.run_match_text db source in
           (match out with
           | Some f ->
-            let oc = open_out f in
-            output_string oc body;
-            close_out oc;
+            write_file f body;
             Printf.printf "wrote %s\n" f
           | None -> print_string body)
         | `Unknown ->

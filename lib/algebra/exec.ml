@@ -1,21 +1,7 @@
-(** Plan execution.
-
-    Bindings are rows indexed by pattern variable ([-1] = unbound).
-    Every operator reads and writes one flat {!batch} — a width, a row
-    count and one row-major [int array] — so a result of a million rows
-    is one array, not a million.  [Expand] is the workhorse: follow the
-    edge constraint from the bound endpoint and test the destination's
-    node predicate.  Every operator ticks {!Gql_graph.Deadline} per
-    candidate or binding, so an evaluation past its deadline stops
-    inside the operator that is running. *)
-
 open Gql_data
 
 type binding = int array
 
-(** [rows] bindings of [width] slots, row-major: binding [i] is
-    [data.(i * width) .. data.(i * width + width - 1)].  [data] may be
-    longer than [rows * width]; the tail is not part of the batch. *)
 type batch = { width : int; rows : int; data : int array }
 
 (* A batch under construction: one per operator, or per Par chunk. *)
@@ -61,8 +47,6 @@ let concat w (parts : batch list) : batch =
 let to_bindings (b : batch) : binding list =
   List.init b.rows (fun i -> Array.sub b.data (i * b.width) b.width)
 
-(** A batch of [width]-slot bindings; each binding must hold at least
-    [width] slots. *)
 let of_bindings ~width (bs : binding list) : batch =
   let out = buf_create width ~rows:(List.length bs) in
   List.iter (fun b -> copy_row b 0 out.d (buf_next out) width) bs;
@@ -86,9 +70,6 @@ let edge_ok ?(nav : Gql_graph.Homo.nav option)
     | Gql_graph.Homo.Negated p ->
       not (List.exists (fun (d, l) -> d = dst && p l) (Graph.out data src)))
 
-(** Run [plan] to one batch of width [|p_nodes|].  [Filter] hands its
-    predicate a scratch row that is overwritten for the next binding:
-    a predicate must not keep the array it is given. *)
 let run_batch
     ?(provider : (Graph.node_kind, Graph.edge) Gql_graph.Homo.provider option)
     ?domains (data : Graph.t)
@@ -266,17 +247,11 @@ let run_batch
   in
   eval plan
 
-(** {!run_batch} as a list of bindings, one fresh array each. *)
 let run ?provider ?domains (data : Graph.t)
     (pattern : (Graph.node_kind, Graph.edge) Gql_graph.Homo.pattern)
     (plan : Plan.t) : binding list =
   to_bindings (run_batch ?provider ?domains data pattern plan)
 
-(** End-to-end: compile an XML-GL query, plan it, execute, and return
-    bindings restricted to the query's own nodes (the same shape
-    [Gql_xmlgl.Matching.run] returns, so results are comparable).
-    [planner] defaults to {!Planner.build}; differential tests pass a
-    {!Planner.build_in_order} reference. *)
 let run_xmlgl ?(planner = fun data job -> Planner.build data job) ?index
     ?domains (data : Graph.t) (q : Gql_xmlgl.Ast.query) : int array list =
   let compiled = Gql_xmlgl.Matching.compile ?index data q in
@@ -287,16 +262,11 @@ let run_xmlgl ?(planner = fun data job -> Planner.build data job) ?index
     (run ?provider:job.Planner.provider ?domains data
        compiled.Gql_xmlgl.Matching.pattern plan)
 
-(** The plan text for an XML-GL query — EXPLAIN, annotated with the
-    cost formulas' row/cost estimates. *)
 let explain_xmlgl ?index (data : Graph.t) (q : Gql_xmlgl.Ast.query) : string =
   let compiled = Gql_xmlgl.Matching.compile ?index data q in
   let job = Planner.job_of_xmlgl ?index compiled in
   Plan.to_string (Planner.build data job)
 
-(** The plan text for a WG-Log rule's query part, via the same algebra
-    route (the fixpoint evaluator itself stays non-algebraic; this is
-    the EXPLAIN view of how one rule's pattern would be joined). *)
 let explain_wglog ?index (data : Graph.t) (r : Gql_wglog.Ast.rule) : string =
   let job = Planner.job_of_wglog ?index r in
   if Array.length job.Planner.pattern.Gql_graph.Homo.p_nodes = 0 then

@@ -1,25 +1,3 @@
-(** The planner: pattern -> plan.
-
-    One join-order strategy, the classical fail-first heuristic: start
-    each connected component at its most selective node and always
-    extend with the already-connected node that has the smallest
-    candidate estimate.  Connectivity is compared lexicographically
-    *before* the estimate, so a connected node can never lose to an
-    unconnected one no matter how many candidates it has; components
-    are stitched with [Cross].  {!build_in_order} binds nodes in a
-    caller-given order instead — the reference the differential tests
-    and the E9 ablation compare against.
-
-    When several positive edges connect the next node to the bound
-    region, the cheapest one (Direct before Path) carries the [Expand]
-    and the others demote to [Edge_check]s.
-
-    Residual filters (value joins, ordered-content checks, negations
-    whose endpoints are never adjacent in the traversal, cross-node
-    predicates) are appended on top.  Every built plan is annotated
-    with {!Plan.est} rows/cost estimates from the {!Cost} formulas;
-    they are for EXPLAIN only and decide nothing. *)
-
 open Gql_data
 module H = Gql_graph.Homo
 module Iset = Gql_graph.Iset
@@ -30,8 +8,6 @@ type job = {
   pattern : (Graph.node_kind, Graph.edge) H.pattern;
   residuals : residual list;
   provider : (Graph.node_kind, Graph.edge) H.provider option;
-      (** index-backed candidates; sharpens the planner's estimates and
-          replaces the executor's scans *)
 }
 
 let cons_label (c : (Graph.node_kind, Graph.edge) H.edge_constraint) =
@@ -354,26 +330,12 @@ let plan_with ~(order : int list option) (data : Graph.t) (job : job) : Plan.t =
   ignore (annotate plan);
   plan
 
-(** Plan a job with the fail-first order.  [strategy] is ignored: it
-    exists only so the served-traffic benchmark's traced replay
-    ([benchmark/replay.ml]) keeps compiling, and it goes when that
-    replay is rebuilt on the server's own request path.  Nothing else
-    may pass it. *)
 let build ?strategy:(_ : [ `Cost ] option) (data : Graph.t) (job : job) : Plan.t =
   plan_with ~order:None data job
 
-(** Plan a job binding its nodes in [order], a permutation of the
-    pattern's node indices; each node expands through the cheapest edge
-    to the already-bound region, as in {!build}.  Declaration order
-    ([List.init k Fun.id]) is the naive reading of the visual graph —
-    the "optimiser off" baseline.  @raise Invalid_argument if [order]
-    is not a permutation. *)
 let build_in_order (data : Graph.t) (job : job) (order : int list) : Plan.t =
   plan_with ~order:(Some order) data job
 
-(** Job construction from a compiled XML-GL query: the pattern plus its
-    post-filters packaged as residuals; [index] attaches the frozen
-    index's candidate provider. *)
 let job_of_xmlgl ?(index : Index.t option) (c : Gql_xmlgl.Matching.compiled) :
     job =
   {
@@ -388,10 +350,6 @@ let job_of_xmlgl ?(index : Index.t option) (c : Gql_xmlgl.Matching.compiled) :
     provider = Option.map (fun idx -> Gql_xmlgl.Matching.provider idx c) index;
   }
 
-(** Job construction from a WG-Log rule's query part, for the algebra
-    EXPLAIN route: the compiled pattern (label tests specialised to
-    interned symbols when an index is given), the evaluator's provider,
-    and its negation checks packaged as residuals. *)
 let job_of_wglog ?(index : Index.t option) (r : Gql_wglog.Ast.rule) : job =
   let cq = Gql_wglog.Eval.compile_query r in
   let pattern =

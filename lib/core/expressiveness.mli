@@ -22,11 +22,10 @@ type feature =
   | Recursion  (** derived relations feeding further derivations *)
 
 val all_features : feature list
-val feature_name : feature -> string
+(** Every feature class, in table order: the rows the paper's comparison
+    must cover, which the tests check {!matrix} against. *)
 
 type support = Native | Encodable | Unsupported
-
-val support_symbol : support -> string
 
 val matrix : (feature * support * support * support) list
 (** (feature, XML-GL, WG-Log, XPath 1.0) — the paper's comparison as

@@ -51,11 +51,7 @@ let load_xml_string ?dtd (src : string) : db =
   | Error msg -> fail "XML parse error: %s" msg
 
 let load_xml_file ?dtd path : db =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  load_xml_string ?dtd src
+  load_xml_string ?dtd (In_channel.with_open_bin path In_channel.input_all)
 
 (** Wrap an existing data graph (entity databases that never were XML,
     e.g. the WG-Log restaurant base). *)
@@ -130,14 +126,6 @@ let run_xmlgl ?domains (db : db) (p : Gql_xmlgl.Ast.program) :
 let run_xmlgl_text ?domains (db : db) (src : string) : Gql_xml.Tree.element =
   run_xmlgl ?domains db (parse_xmlgl src)
 
-(** Bindings of the first rule's query part (inspection / testing). *)
-let xmlgl_bindings (db : db) (p : Gql_xmlgl.Ast.program) =
-  match p.Gql_xmlgl.Ast.rules with
-  | [] -> []
-  | r :: _ ->
-    Gql_xmlgl.Engine.query_bindings ~index:(index db) db.graph
-      r.Gql_xmlgl.Ast.query
-
 (** EXPLAIN for the first rule, via the algebra planner. *)
 let explain_xmlgl (db : db) (p : Gql_xmlgl.Ast.program) : string =
   match p.Gql_xmlgl.Ast.rules with
@@ -192,14 +180,6 @@ let run_match ?domains (db : db) (q : Gql_match.Ast.query) : string * int =
 let run_match_text ?domains (db : db) (src : string) : string * int =
   run_match ?domains db (parse_match src)
 
-let match_bindings (db : db) (q : Gql_match.Ast.query) : int array list =
-  match
-    Gql_match.Eval.bindings ~index:(index db) db.graph
-      (Gql_match.Compile.compile q)
-  with
-  | r -> r
-  | exception Gql_match.Compile.Error msg -> fail "MATCH compile error: %s" msg
-
 let explain_match (db : db) (q : Gql_match.Ast.query) : string =
   match Gql_match.Eval.explain ~index:(index db) db.graph q with
   | r -> r
@@ -213,14 +193,6 @@ let xpath_select (db : db) (expr : string) : Gql_xml.Tree.node list =
   let idx = Lazy.force db.xpath_index in
   List.map (Gql_xpath.Index.to_tree idx) (Gql_xpath.Eval.select_string idx expr)
 
-let xpath_value (db : db) (expr : string) : string =
-  let idx = Lazy.force db.xpath_index in
-  match Gql_xpath.Eval.eval_string idx expr with
-  | Gql_xpath.Eval.Str s -> s
-  | Gql_xpath.Eval.Num f -> Printf.sprintf "%g" f
-  | Gql_xpath.Eval.Bool b -> string_of_bool b
-  | Gql_xpath.Eval.Nodeset ns -> Printf.sprintf "node-set(%d)" (List.length ns)
-
 (* ------------------------------------------------------------------ *)
 (* Schemas                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -230,9 +202,6 @@ let validate_dtd (db : db) : Gql_dtd.Validate.violation list =
   | Some dtd, Some document -> Gql_dtd.Validate.validate dtd document
   | None, _ -> fail "database has no DTD"
   | _, None -> fail "database has no document form"
-
-let validate_xmlgl_schema (db : db) (s : Gql_xmlgl.Schema.t) =
-  Gql_xmlgl.Schema.validate s db.graph
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -249,9 +218,6 @@ let rule_diagram_wglog ?title (r : Gql_wglog.Ast.rule) =
 let save_svg path diagram = Gql_visual.Svg.write_file path diagram
 
 let render_ascii diagram = Gql_visual.Ascii.render_auto diagram
-
-let data_diagram ?max_nodes (db : db) =
-  Gql_visual.Builders.of_data ?max_nodes db.graph
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

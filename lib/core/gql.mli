@@ -77,8 +77,6 @@ val run_xmlgl : ?domains:int -> db -> Gql_xmlgl.Ast.program -> Gql_xml.Tree.elem
 
 val run_xmlgl_text : ?domains:int -> db -> string -> Gql_xml.Tree.element
 
-val xmlgl_bindings :
-  db -> Gql_xmlgl.Ast.program -> Gql_xmlgl.Matching.binding list
 (** Bindings of the first rule's query part (inspection / testing). *)
 
 val explain_xmlgl : db -> Gql_xmlgl.Ast.program -> string
@@ -133,7 +131,6 @@ val run_match : ?domains:int -> db -> Gql_match.Ast.query -> string * int
 
 val run_match_text : ?domains:int -> db -> string -> string * int
 
-val match_bindings : db -> Gql_match.Ast.query -> int array list
 (** Raw embeddings via the direct matcher (inspection / testing). *)
 
 val explain_match : db -> Gql_match.Ast.query -> string
@@ -146,7 +143,6 @@ val xpath_select : db -> string -> Gql_xml.Tree.node list
 (** Evaluate an XPath expression to a node list, materialised as trees.
     @raise Error when the database has no document form. *)
 
-val xpath_value : db -> string -> string
 (** Evaluate to a scalar (strings/numbers/booleans printed; node-sets
     summarised). *)
 
@@ -154,9 +150,6 @@ val xpath_value : db -> string -> string
 
 val validate_dtd : db -> Gql_dtd.Validate.violation list
 (** @raise Error when the database carries no DTD or no document. *)
-
-val validate_xmlgl_schema :
-  db -> Gql_xmlgl.Schema.t -> Gql_xmlgl.Schema.violation list
 
 (** {1 Rendering} *)
 
@@ -177,7 +170,6 @@ val save_svg : string -> Gql_visual.Diagram.t -> unit
 val render_ascii : Gql_visual.Diagram.t -> string
 (** Terminal rendering of a diagram. *)
 
-val data_diagram : ?max_nodes:int -> db -> Gql_visual.Diagram.t
 (** A (truncated) picture of the database itself. *)
 
 (** {1 Introspection} *)

@@ -1,52 +1,7 @@
-(** Frozen indexes over a data graph.
-
-    One [build] pass snapshots the graph into a {!Gql_graph.Csr} view,
-    interns every node label and edge name into a snapshot-local
-    {!Symtab}, and derives the access paths every engine's matcher wants
-    instead of whole-graph scans:
-
-    - [by_label]: label symbol -> complex nodes, the entry point for
-      typed pattern nodes;
-    - [by_number] / [by_string]: normalised atom value -> atom nodes,
-      for constant rectangles and value point-lookups (normalisation
-      follows [Value.compare_values]: numeric when the value coerces,
-      textual otherwise, so ["12"], [12] and [12.0] share a bucket);
-    - per-node adjacency partitioned by edge-name symbol ([out_named] /
-      [in_named]), by [Attribute] kind and name ([attr_named_sym]), by
-      [Child] kind ([children] / [parents]) and by [Ref]/[Rel] kind
-      ([ref_succ] / [ref_pred]), so a labelled edge constraint
-      enumerates only matching neighbours;
-    - [edges_named]: name symbol -> all (src, dst) pairs, for the WG-Log
-      evaluator's globally negated edges;
-    - a per-node interned label plane on the CSR view
-      ([Csr.set_node_syms]), so "is this node labelled X?" is one
-      integer compare against a symbol resolved once per query.
-
-    Every map has one representation, the flat planes a {!Store}
-    snapshot file holds: a sorted key array, an offset array and one
-    pool of postings.  [build] writes them straight from the CSR slices
-    with counting sorts, [Store.save] writes the fields as they are and
-    [Store.load] validates and blits them back.  Every posting set is
-    sorted ascending and duplicate-free, which makes the indexed matcher
-    enumerate embeddings in exactly the order of the scan-based one.
-    Per-node name-partitioned adjacency is keyed by the single integer
-    [node * stride + name_sym], so a lookup is one binary search over
-    immediate ints.
-
-    Symbols are snapshot-local: ids from one build must never be
-    compared with ids (or used against postings) of another.  The index
-    is a snapshot: [refresh] on a {!cache} rebuilds it only when the
-    graph has grown (the data graph is append-only; node payloads are
-    never mutated after construction). *)
-
 module Iset = Gql_graph.Iset
 
-(** Sets laid end to end: set [i] is [pool.(off.(i)) .. pool.(off.(i + 1) - 1)],
-    sorted and duplicate-free. *)
 type sets = { off : int array; pool : int array }
 
-(** A posting map: the set under [keys.(i)] (keys strictly ascending)
-    is set [i] of [sets]. *)
 type 'k postings = { keys : 'k array; sets : sets }
 
 (* Most per-node sets hold one or two members; an array literal
@@ -96,24 +51,22 @@ let v_find cmp (p : 'k postings) key : Iset.t =
 type t = {
   data : Graph.t;
   csr : (Graph.node_kind, Graph.edge) Gql_graph.Csr.t;
-  version : int * int;  (** (n_nodes, n_edges) at build time *)
+  version : int * int;
   symtab : Symtab.t;
-  stride : int;  (** symtab length at build end; adjacency key stride *)
-  by_label : int postings;  (** label sym -> complex nodes *)
-  by_number : float postings;  (** numeric value, [Float.compare] order *)
-  by_string : string postings;  (** textual value, [String.compare] order *)
+  stride : int;
+  by_label : int postings;
+  by_number : float postings;
+  by_string : string postings;
   all_complex : Iset.t;
   all_atoms : Iset.t;
-  out_by_name : int postings;  (** node * stride + name sym *)
+  out_by_name : int postings;
   in_by_name : int postings;
   attr_out : int postings;
-  child_out : sets;  (** set [n]: node [n]'s neighbours *)
+  child_out : sets;
   child_in : sets;
   ref_out : sets;
   ref_in : sets;
   edges_by_name : int postings;
-      (** name sym -> (src, dst) pairs sorted ascending, interleaved in
-          the pool (parallel edges repeat a pair) *)
   (* Regular-path engine state, all lazy and mutex-guarded (the serve
      pool shares one snapshot across worker domains): per-lane edge-sym
      planes aligned with the CSR out/in slices, per-automaton
@@ -121,9 +74,9 @@ type t = {
      the snapshot, so the existing (n_nodes, n_edges) version scheme
      invalidates it for free. *)
   path_lock : Mutex.t;
-  planes : (int, int array * int array) Hashtbl.t;  (** hint -> out, in *)
-  path_specs : (int, Gql_graph.Regpath.spec) Hashtbl.t;  (** automaton uid *)
-  path_memo : (int * int * int, Iset.t) Hashtbl.t;  (** uid, dir, node *)
+  planes : (int, int array * int array) Hashtbl.t;
+  path_specs : (int, Gql_graph.Regpath.spec) Hashtbl.t;
+  path_memo : (int * int * int, Iset.t) Hashtbl.t;
 }
 
 (* --- build ------------------------------------------------------------ *)
@@ -309,20 +262,10 @@ let build (data : Graph.t) : t =
 
 (* --- lookups --------------------------------------------------------- *)
 
-let csr t = t.csr
-let graph t = t.data
-let n_nodes t = fst t.version
-let n_edges t = snd t.version
-
-(** The snapshot's symbol table (labels and edge names). *)
 let symtab t = t.symtab
 
-(** Interned label symbol of node [n]; [-1] for atoms.  One integer
-    compare against [label_sym] answers a typed-node test. *)
 let node_sym t n = Gql_graph.Csr.node_sym t.csr n
 
-(** The symbol of label/name [s] in this snapshot, or [-1] when nothing
-    in the snapshot carries it (so no node/edge can match). *)
 let label_sym t s = match Symtab.find t.symtab s with Some i -> i | None -> -1
 
 let with_lock m f =
@@ -335,15 +278,11 @@ let with_lock m f =
     Mutex.unlock m;
     raise e
 
-(** Complex nodes carrying label symbol [sym], sorted. *)
 let complex_with_sym t sym : Iset.t =
   if sym < 0 then Iset.empty else p_find t.by_label sym
 
-(** Complex nodes carrying label [l], sorted. *)
 let complex_with_label t l : Iset.t = complex_with_sym t (label_sym t l)
 
-(** Complex nodes whose label satisfies [p] — one test per *distinct*
-    label, not per node (this is how regex name tests scale). *)
 let complex_matching t p : Iset.t =
   let parts = ref [] in
   Array.iteri
@@ -356,7 +295,6 @@ let complex_matching t p : Iset.t =
   | [ s ] -> s
   | parts -> List.fold_left Iset.union Iset.empty parts
 
-(** Atom nodes equal (in the [Value.equal_values] sense) to [v]. *)
 let atoms_equal t v : Iset.t =
   match Value.as_number v with
   | Some f -> v_find Float.compare t.by_number f
@@ -364,10 +302,6 @@ let atoms_equal t v : Iset.t =
 
 let all_complex t = t.all_complex
 let all_atoms t = t.all_atoms
-
-let labels t =
-  Array.to_list (Array.map (Symtab.name t.symtab) t.by_label.keys)
-  |> List.sort compare
 
 (* name-partitioned adjacency, keyed by one immediate int *)
 let adj_named tbl t n sym : Iset.t =
@@ -402,8 +336,6 @@ let degree t n = Gql_graph.Csr.degree t.csr n
 
 (* Navs resolve their name symbol once at construction, not per hop. *)
 
-(** Edges named [name], any kind — exactly WG-Log's label semantics, so
-    the nav is exact. *)
 let nav_name t name : Gql_graph.Homo.nav =
   let sym = label_sym t name in
   {
@@ -413,7 +345,6 @@ let nav_name t name : Gql_graph.Homo.nav =
     nav_exact = true;
   }
 
-(** [Child]-kind edges, any name.  Exact for unpositioned containment. *)
 let nav_child t : Gql_graph.Homo.nav =
   {
     nav_out = Some (fun n -> children t n);
@@ -422,8 +353,6 @@ let nav_child t : Gql_graph.Homo.nav =
     nav_exact = true;
   }
 
-(** [Child]-kind edges used only for candidate enumeration (a superset):
-    positioned containment re-checks the ordinal via the constraint. *)
 let nav_child_superset t : Gql_graph.Homo.nav =
   {
     nav_out = Some (fun n -> children t n);
@@ -432,8 +361,6 @@ let nav_child_superset t : Gql_graph.Homo.nav =
     nav_exact = false;
   }
 
-(** [Attribute]-kind edges named [name].  Exact on the forward direction
-    and the link test; reverse lookups fall back to the scan. *)
 let nav_attr t name : Gql_graph.Homo.nav =
   let sym = label_sym t name in
   {
@@ -443,7 +370,6 @@ let nav_attr t name : Gql_graph.Homo.nav =
     nav_exact = true;
   }
 
-(** [Ref]/[Rel]-kind edges, any name — exact. *)
 let nav_ref t : Gql_graph.Homo.nav =
   {
     nav_out = Some (fun n -> ref_succ t n);
@@ -452,8 +378,6 @@ let nav_ref t : Gql_graph.Homo.nav =
     nav_exact = true;
   }
 
-(** [Ref]/[Rel] edges named [name]: name-partitioned supersets for
-    enumeration (the name table ignores kind), exact checks deferred. *)
 let nav_ref_named t name : Gql_graph.Homo.nav =
   let sym = label_sym t name in
   {
@@ -467,12 +391,6 @@ let nav_ref_named t name : Gql_graph.Homo.nav =
 
 module Rp = Gql_graph.Regpath
 
-(** Edge-plane lane hints for {!Rp.compile_classified}: which edges a
-    snapshot lane admits before the symbol test even runs.  [plane_name]
-    admits every edge (MATCH path semantics), [plane_rel] excludes
-    [Attribute] edges (WG-Log arcs), [plane_child] admits only [Child]
-    edges (XML-GL deep containment).  Hint [0] means no plane: the
-    engine tests edges with the leaf predicates. *)
 let plane_name = 1
 
 let plane_rel = 2
@@ -554,10 +472,6 @@ let path_cached t rp ~(rev : bool) n : Iset.t =
 let path_connects t rp ~src ~dst : bool =
   Iset.mem (path_cached t rp ~rev:false src) dst
 
-(** Regular-path navigation over the frozen view: specialised automaton
-    on the snapshot's symbol plane, memoised per (automaton, direction,
-    node), with backward navigation answered by the reverse automaton
-    instead of a whole-graph scan. *)
 let nav_path t (rp : Graph.edge Rp.t) : Gql_graph.Homo.nav =
   {
     nav_out = Some (fun n -> path_cached t rp ~rev:false n);
@@ -566,9 +480,6 @@ let nav_path t (rp : Graph.edge Rp.t) : Gql_graph.Homo.nav =
     nav_exact = true;
   }
 
-(** Assemble a provider from per-pattern-node candidate sets and
-    per-edge navigation (both indexed by pattern position / [p_edges]
-    order). *)
 let provider ?(navs : Gql_graph.Homo.nav option array = [||]) t
     ~(candidates : int -> Iset.t option) :
     (Graph.node_kind, Graph.edge) Gql_graph.Homo.provider =
@@ -584,8 +495,6 @@ type cache = { mutable cached : t option }
 
 let cache () = { cached = None }
 
-(** The index for [data], rebuilt only if the graph has grown since the
-    cached build (append-only graphs make size a sound version stamp). *)
 let refresh (c : cache) (data : Graph.t) : t =
   match c.cached with
   | Some idx

@@ -1,11 +1,3 @@
-(** Atomic values at the leaves of semi-structured data.
-
-    XML is untyped text, but every query language in the paper compares
-    contents numerically ("items that cost more than 0,79", "older than
-    60").  Values therefore carry a dynamic type inferred at load time;
-    comparisons are numeric when both sides are numeric, lexicographic
-    otherwise — the standard semi-structured convention. *)
-
 type t =
   | String of string
   | Int of int
@@ -32,8 +24,6 @@ let of_string s =
 let string v = String v
 let int v = Int v
 let float v = Float v
-let bool v = Bool v
-
 let to_string = function
   | String s -> s
   | Int i -> string_of_int i
@@ -50,7 +40,6 @@ let as_number = function
   | String s -> float_of_string_opt (String.trim s)
   | Bool _ -> None
 
-(** Three-way comparison: numeric when both coerce, else string compare. *)
 let compare_values a b =
   match as_number a, as_number b with
   | Some x, Some y -> Float.compare x y
@@ -58,9 +47,6 @@ let compare_values a b =
 
 let equal_values a b = compare_values a b = 0
 
-(** Arithmetic lifts ints when both are ints, floats otherwise; [None]
-    on non-numbers (queries treat that as a failed predicate, never an
-    error — semi-structured data is allowed to be ragged). *)
 let arith op a b =
   match a, b with
   | Int x, Int y -> (

@@ -1,17 +1,9 @@
-(** Abstract syntax of Document Type Definitions.
-
-    DTDs play two roles in the reproduction: they are the yardstick
-    against which the paper measures XML-GL's schema expressiveness
-    (figures XML-GL-DTD1/DTD2: an XML-GL graph equivalent to a BOOK/AUTHOR
-    DTD), and they drive schema-aware tooling (attribute defaulting, ID
-    typing for the data-graph encoder). *)
-
 type content_model =
-  | Empty_content  (** EMPTY *)
-  | Any_content  (** ANY *)
-  | Pcdata  (** (#PCDATA) — text only *)
-  | Mixed of string list  (** (#PCDATA | a | b)° — text mixed with listed elements *)
-  | Children of string Gql_regex.Syntax.t  (** pure element content *)
+  | Empty_content
+  | Any_content
+  | Pcdata
+  | Mixed of string list
+  | Children of string Gql_regex.Syntax.t
 
 type attr_type =
   | Cdata
@@ -23,18 +15,17 @@ type attr_type =
   | Enumeration of string list
 
 type attr_default =
-  | Required  (** #REQUIRED *)
-  | Implied  (** #IMPLIED *)
-  | Fixed of string  (** #FIXED "v" *)
-  | Default of string  (** "v" *)
+  | Required
+  | Implied
+  | Fixed of string
+  | Default of string
 
 type attr_def = { attr_name : string; attr_type : attr_type; default : attr_default }
 
 type t = {
   root_hint : string option;
-    (** document element name from <!DOCTYPE name ...>, when known *)
-  elements : (string * content_model) list;  (** declaration order *)
-  attlists : (string * attr_def list) list;  (** element name -> attributes *)
+  elements : (string * content_model) list;
+  attlists : (string * attr_def list) list;
 }
 
 let empty = { root_hint = None; elements = []; attlists = [] }
@@ -44,10 +35,6 @@ let content_model t name = List.assoc_opt name t.elements
 let attrs_of t name =
   match List.assoc_opt name t.attlists with Some l -> l | None -> []
 
-let declared_elements t = List.map fst t.elements
-
-(** Is [attr] of [element] declared with type ID (resp. IDREF/IDREFS)?
-    These predicates plug into [Gql_xml.Ids.build]. *)
 let is_id_attr t ~element ~attr =
   List.exists
     (fun d -> d.attr_name = attr && d.attr_type = Id)
@@ -102,7 +89,6 @@ let pp_content_model = function
     let s = pp_dtd_re re in
     if String.length s > 0 && s.[0] = '(' then s else "(" ^ s ^ ")"
 
-(** Serialise back to DTD text (round-trip tested). *)
 let to_string t =
   let buf = Buffer.create 256 in
   List.iter

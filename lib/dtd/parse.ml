@@ -1,10 +1,3 @@
-(** Parser for the DTD internal-subset syntax.
-
-    Accepts the text captured between [\[ \]] of a DOCTYPE (or a whole
-    standalone [.dtd] file): <!ELEMENT>, <!ATTLIST>, comments and
-    parameter-entity-free declarations.  Content models are parsed into
-    [Gql_regex.Syntax] regexes over element names. *)
-
 exception Error of string * int  (** message, byte offset *)
 
 type state = { src : string; mutable pos : int }
@@ -259,7 +252,6 @@ let parse_subset ?root_hint (src : string) : Ast.t =
   go ();
   { Ast.root_hint; elements = List.rev !elements; attlists = List.rev !attlists }
 
-(** Parse the DTD embedded in a document's DOCTYPE, if any. *)
 let of_doc (d : Gql_xml.Tree.doc) : Ast.t option =
   match d.doctype with
   | Some { dt_name; internal_subset = Some subset; _ } ->
@@ -267,8 +259,3 @@ let of_doc (d : Gql_xml.Tree.doc) : Ast.t option =
   | Some { dt_name; internal_subset = None; _ } ->
     Some { Ast.empty with root_hint = Some dt_name }
   | None -> None
-
-let parse_subset_result ?root_hint src =
-  match parse_subset ?root_hint src with
-  | dtd -> Ok dtd
-  | exception Error (msg, pos) -> Error (Printf.sprintf "offset %d: %s" pos msg)

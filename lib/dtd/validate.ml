@@ -1,11 +1,3 @@
-(** Document validation against a DTD.
-
-    Element content is checked with the Glushkov automaton of the declared
-    content model (built once per element declaration and cached), so
-    validation is linear in document size.  Attribute checks cover
-    presence of #REQUIRED, #FIXED value agreement, enumeration membership,
-    and document-wide ID uniqueness / IDREF resolution. *)
-
 type violation = {
   path : Gql_xml.Tree.path;
   element : string;
@@ -34,8 +26,6 @@ let compile (dtd : Ast.t) : compiled =
     dtd.Ast.elements;
   { dtd; automata }
 
-(** Content models must be deterministic (1-unambiguous) per XML 1.0;
-    returns the offending element names. *)
 let nondeterministic_models (c : compiled) =
   Hashtbl.fold
     (fun name auto acc ->
@@ -137,7 +127,6 @@ let check_attrs (c : compiled) path (e : Gql_xml.Tree.element) acc =
       | Ast.Required | Ast.Implied | Ast.Fixed _ | Ast.Default _ -> acc)
     acc defs
 
-(** Validate a whole document.  Returns violations in document order. *)
 let validate (dtd : Ast.t) (doc : Gql_xml.Tree.doc) : violation list =
   let c = compile dtd in
   let root = doc.root in
@@ -183,30 +172,3 @@ let validate (dtd : Ast.t) (doc : Gql_xml.Tree.doc) : violation list =
   List.rev acc
 
 let is_valid dtd doc = validate dtd doc = []
-
-(** Apply attribute defaults from the DTD, returning a new document in
-    which every defaulted attribute is materialised. *)
-let apply_defaults (dtd : Ast.t) (document : Gql_xml.Tree.doc) : Gql_xml.Tree.doc =
-  let open Gql_xml.Tree in
-  let rec fix_element e =
-    let defs = Ast.attrs_of dtd e.name in
-    let attrs =
-      List.fold_left
-        (fun attrs d ->
-          if List.mem_assoc d.Ast.attr_name attrs then attrs
-          else
-            match d.Ast.default with
-            | Ast.Default v | Ast.Fixed v -> attrs @ [ (d.Ast.attr_name, v) ]
-            | Ast.Required | Ast.Implied -> attrs)
-        e.attrs defs
-    in
-    { e with
-      attrs;
-      children =
-        List.map
-          (function
-            | Element ce -> Element (fix_element ce)
-            | (Text _ | Comment _ | Pi _) as n -> n)
-          e.children }
-  in
-  { document with root = fix_element document.root }

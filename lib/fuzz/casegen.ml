@@ -1,28 +1,13 @@
-(** Seed-driven inputs for the differential fuzzer.
-
-    Everything a case contains — the document, one XML-GL and one
-    WG-Log program, and the side graph + label regex for the
-    regular-path oracle — derives from a single integer seed through
-    {!Gql_workload.Prng} (splitmix64).  Same seed, same bytes, on any
-    machine: a failure report is just a seed plus an oracle name.
-
-    Programs are generated as ASTs through the [Build] APIs and then
-    *printed* to the concrete syntax, so every case also round-trips
-    through the textual parsers — the same path a served [RUN] takes.
-    The generators only emit rules that pass the static checks; the
-    corpus of deliberately ill-formed programs lives in [test/corpus/]
-    instead, as minimized repros of real crash paths. *)
-
 module Prng = Gql_workload.Prng
 
 type case = {
   seed : int;
-  xml : string;  (** the document under test *)
-  xmlgl_src : string;  (** a well-formed XML-GL program over it *)
-  wglog_src : string;  (** a well-formed WG-Log program over it *)
-  graph_seed : int;  (** seed of the labelled digraph of the path oracle *)
-  regex_src : string;  (** textual label regex for the path oracle *)
-  match_src : string;  (** a well-formed textual MATCH query over [xml] *)
+  xml : string;
+  xmlgl_src : string;
+  wglog_src : string;
+  graph_seed : int;
+  regex_src : string;
+  match_src : string;
 }
 
 let tags = [| "a"; "b"; "c"; "d"; "e"; "item"; "entry"; "node" |]
@@ -295,8 +280,6 @@ let gen_regex rng : string =
   alt 0;
   Buffer.contents buf
 
-(** The labelled digraph of the regular-path oracle, regenerable from
-    its own seed (so a repro needs only [graph_seed], not the edges). *)
 let gen_graph ~graph_seed : (unit, string) Gql_graph.Digraph.t =
   let rng = Prng.create graph_seed in
   let n = 4 + Prng.int rng 21 in

@@ -1,34 +1,10 @@
-(** On-disk format for minimized fuzz repros.
-
-    A repro is everything needed to replay one oracle on one input
-    with no randomness left: the seed and oracle it came from, the
-    (minimized) query source and document, and for the graph oracle
-    the side-graph seed.  The format is line-oriented text so repros
-    diff cleanly and can be authored by hand:
-
-    {v
-    # gql fuzz minimized repro
-    seed: 12345
-    oracle: direct-vs-served
-    detail: cold served ERR: ...
-    graph_seed: 0
-    --- query
-    xmlgl ...
-    --- doc
-    <a>...</a>
-    v}
-
-    Files live in [test/corpus/] and are replayed by
-    [test_fuzz_corpus] on every test run, so every bug the fuzzer ever
-    minimized stays fixed. *)
-
 type repro = {
   seed : int;
-  oracle : string;  (** {!Oracle.to_string} form *)
-  detail : string;  (** the failure line at minimization time *)
-  graph_seed : int;  (** only meaningful for digraph-vs-csr *)
-  source : string;  (** minimized query program (or label regex) *)
-  xml : string;  (** minimized document; [""] when the oracle has none *)
+  oracle : string;
+  detail : string;
+  graph_seed : int;
+  source : string;
+  xml : string;
 }
 
 let render (r : repro) : string =
@@ -57,9 +33,8 @@ let filename (r : repro) = Printf.sprintf "seed%d-%s.repro" r.seed r.oracle
 let write ~(dir : string) (r : repro) : string =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir (filename r) in
-  let oc = open_out path in
-  output_string oc (render r);
-  close_out oc;
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (render r));
   path
 
 let parse (text : string) : repro =
@@ -103,10 +78,3 @@ let parse (text : string) : repro =
     source = section_text !query;
     xml = section_text !doc;
   }
-
-let load (path : string) : repro =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse text

@@ -1,13 +1,3 @@
-(** The fuzz loop: generate, check, shrink, report.
-
-    Case [i] of a run uses seed [base_seed + i], so any failure is
-    addressable as a single integer regardless of how many cases ran
-    before it — [gql fuzz --seed N --cases 1] replays exactly one.
-    Each case fans out into one subcheck per (oracle, artifact) pair;
-    a subcheck that fails is minimized with {!Shrink.minimize} against
-    its own re-run closure and reported (and written to [out_dir] as a
-    {!Corpus.repro} when one is given). *)
-
 module Server = Gql_server.Server
 module Client = Gql_server.Client
 
@@ -15,7 +5,7 @@ type config = {
   base_seed : int;
   cases : int;
   oracles : Oracle.name list;
-  out_dir : string option;  (** where minimized repros are written *)
+  out_dir : string option;
   log : string -> unit;
 }
 
@@ -222,44 +212,3 @@ let run (cfg : config) : outcome =
       cfg.oracles
   then with_served (fun t -> body (Some t))
   else body None
-
-(** Re-judge a stored repro.  [direct-vs-served] replays against a
-    fresh in-process server ({!Oracle.inproc_transport}) so corpus
-    replay inside [dune runtest] needs no sockets. *)
-let replay (r : Corpus.repro) : Oracle.verdict =
-  match Oracle.of_string r.oracle with
-  | None -> Oracle.Fail ("unknown oracle: " ^ r.oracle)
-  | Some Oracle.Scan_vs_index ->
-    guard (fun () -> Oracle.scan_vs_index ~xml:r.xml ~source:r.source)
-  | Some Oracle.Engine_vs_algebra ->
-    guard (fun () ->
-        Oracle.engine_vs_algebra ~seed:r.seed ~xml:r.xml ~source:r.source)
-  | Some Oracle.Digraph_vs_csr ->
-    guard (fun () ->
-        Oracle.digraph_vs_csr ~graph_seed:r.graph_seed ~regex_src:r.source)
-  | Some Oracle.Seq_vs_par ->
-    guard (fun () -> Oracle.seq_vs_par ~xml:r.xml ~source:r.source)
-  | Some Oracle.Direct_vs_served ->
-    let config = { Server.default_config with workers = Some 1 } in
-    let server = Server.create ~config () in
-    let uncached = uncached_server () in
-    Fun.protect
-      ~finally:(fun () -> Server.stop server; Server.stop uncached)
-      (fun () ->
-        guard (fun () ->
-            Oracle.direct_vs_served ~uncached ~seed:r.seed
-              (Oracle.inproc_transport server)
-              ~doc_name:"repro" ~xml:r.xml ~source:r.source))
-  | Some Oracle.Match_vs_algebra ->
-    let config = { Server.default_config with workers = Some 1 } in
-    let server = Server.create ~config () in
-    Fun.protect
-      ~finally:(fun () -> Server.stop server)
-      (fun () ->
-        guard (fun () ->
-            Oracle.match_vs_algebra
-              (Some (Oracle.inproc_transport server))
-              ~seed:r.seed ~doc_name:"repro" ~xml:r.xml ~source:r.source))
-  | Some Oracle.Loaded_vs_frozen ->
-    guard (fun () ->
-        Oracle.loaded_vs_frozen ~seed:r.seed ~xml:r.xml ~source:r.source)

@@ -1,41 +1,3 @@
-(** The seven differential oracles.
-
-    Each oracle evaluates the same question along two redundant paths
-    that share as little code as possible and demands byte-identical
-    answers:
-
-    - {!scan_vs_index}: embedding search with scan candidates vs. the
-      frozen index provider (same embeddings, same order);
-    - {!digraph_vs_csr}: regular-path reachability over the mutable
-      [Digraph] vs. the frozen [Csr] view (both sorted), forward and
-      reverse, the reverse searches against the transposed forward
-      relation;
-    - {!engine_vs_algebra}: the direct XML-GL matcher vs. the algebra
-      planner/executor, under the fail-first join order and under a
-      random order drawn from the case seed (compared as sorted binding
-      sets — plan order is not part of the contract);
-    - {!direct_vs_served}: in-process evaluation vs. a [gql serve]
-      round-trip and an in-process server without a result cache, each
-      first under a deadline of a few us to 1 ms (the same answer or a
-      cancellation), then unbounded on the same snapshot and cached;
-    - {!seq_vs_par}: 1-domain vs. N-domain evaluation — bindings, goal
-      embeddings, fixpoint statistics and the derived graph must all be
-      byte-identical (the determinism guarantee of [Gql_graph.Par]);
-    - {!match_vs_algebra}: the textual [MATCH] front-end — parse→pp→parse
-      identity, then the canonical result body along the in-process
-      routes (direct matcher scan/indexed, algebra fail-first/random
-      order), each also against {!reference_body}, and through a
-      served round-trip, cold and cached;
-    - {!loaded_vs_frozen}: a freshly frozen index vs. the same index
-      after a {!Gql_data.Store} save/load round-trip — every engine
-      must answer byte-identically on the loaded flat planes, and the
-      lazily thawed graph must fingerprint the same.
-
-    Any disagreement — including one side raising where the other
-    answers — is a {!Fail}; uncaught exceptions are converted to
-    failures by the driver.  Every oracle takes plain strings so the
-    shrinker can re-run it on candidate inputs. *)
-
 type name =
   | Scan_vs_index
   | Digraph_vs_csr
@@ -211,11 +173,6 @@ let digraph_vs_csr ~(graph_seed : int) ~(regex_src : string) : verdict =
 (* The reference MATCH render                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** The canonical MATCH body written the plain way: every binding
-    rendered to its tab-joined line, the lines sorted with
-    [String.compare] (duplicates kept), the header first, every line
-    newline-terminated.  The reference that {!Gql_match.Eval.render}'s
-    memoised cells and rank sort must reproduce byte for byte. *)
 let reference_body (data : Gql_data.Graph.t) (c : Gql_match.Compile.t)
     (embs : int array list) : string =
   let line emb =
@@ -246,10 +203,6 @@ let reference_mismatch (routes : (string * (string * string, string) result) lis
 (* (c) direct engine vs. algebra planner/exec                          *)
 (* ------------------------------------------------------------------ *)
 
-(** The join-order reference of the algebra routes:
-    {!Gql_algebra.Planner.build_in_order} under a permutation of the
-    pattern's nodes drawn from the case seed, so a replay of the case
-    plans the same order again. *)
 let shuffled_planner ~seed (data : Gql_data.Graph.t)
     (job : Gql_algebra.Planner.job) : Gql_algebra.Plan.t =
   let k = Array.length job.Gql_algebra.Planner.pattern.Gql_graph.Homo.p_nodes in
@@ -306,9 +259,6 @@ let engine_vs_algebra ~seed ~(xml : string) ~(source : string) : verdict =
 (* ------------------------------------------------------------------ *)
 
 type transport = Gql_server.Protocol.request -> Gql_server.Protocol.response
-(** One service request; either a socket round-trip or the in-process
-    [handle_payload] — the corpus replays use the latter so tier-1
-    tests need no sockets. *)
 
 let socket_transport (c : Gql_server.Client.t) : transport =
   fun req -> Gql_server.Client.request c req
@@ -433,15 +383,6 @@ let bounded_direct (server : Gql_server.Server.t) ~doc_name ~xml ~source
           | exception Gql_graph.Deadline.Exceeded -> Pass);
         (fun () -> agrees ~direct "unbounded direct" (snapshot_body snap ~source)) ]
 
-(** Each path first answers under a deadline drawn from [seed] (a few us
-    to 1 ms) and then without one; a bounded answer must equal the
-    direct one or be a TIMEOUT, and every later answer must equal it, so
-    a cancelled evaluation published nothing.  [t] runs it bounded,
-    unbounded and from its result cache.  [uncached], an in-process
-    server without a result cache, runs it through the direct engines on
-    its fresh snapshot ({!bounded_direct}), then as a bounded [RUN] and
-    twice unbounded: every WG-Log fixpoint evaluates on the same shared
-    snapshot, so one that wrote into it would change a later answer. *)
 let direct_vs_served ~(uncached : Gql_server.Server.t) ~seed (t : transport)
     ~(doc_name : string) ~(xml : string) ~(source : string) : verdict =
   let direct_load =
@@ -567,22 +508,6 @@ let seq_vs_par ~(xml : string) ~(source : string) : verdict =
 (* (f) the textual MATCH front-end vs. everything else                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Three checks on one generated [MATCH] text:
-
-    - printing the parsed query and re-parsing it must give back the
-      same AST, and printing again the same text (pp is a retraction);
-    - the canonical result body must be byte-identical along the
-      in-process routes, which share only the compiled pattern: the
-      direct homomorphism matcher with scan candidates, the same with
-      the index provider, and the algebra executor under the fail-first
-      order, under a random order drawn from [seed], and without the
-      index (or all must reject with the same message);
-    - with a transport, the same body must come back from a served
-      round-trip, cold and cached ([Rcache] on).
-
-    Routes are compared as rendered text, not embeddings, because the
-    rendered body is the public contract of the textual front-end; each
-    in-process body must also equal {!reference_body} of its bindings. *)
 let match_vs_algebra (transport : transport option) ~seed ~(doc_name : string)
     ~(xml : string) ~(source : string) : verdict =
   match Gql_match.Parse.parse_result source with
@@ -691,23 +616,6 @@ let match_vs_algebra (transport : transport option) ~seed ~(doc_name : string)
 (* (g) freshly frozen vs. snapshot save/load round-trip                *)
 (* ------------------------------------------------------------------ *)
 
-(** Freeze the document's index, save it through {!Gql_data.Store},
-    load the file back, and demand that the loaded database answers
-    byte-identically to the frozen original:
-
-    - [MATCH] sources run all six routes (homomorphism scan/indexed,
-      algebra greedy/fixed/cost/no-index) on both databases — the scan
-      routes force the lazy [Digraph] thaw, the indexed routes exercise
-      the flat postings planes;
-    - XML-GL programs compare rendered result documents;
-    - WG-Log programs run the fixpoint on a fork of each graph and
-      compare the statistics and the full derived-graph fingerprint;
-      the served copy-on-write route over the loaded graph and index
-      must then match the loaded fork's statistics and leave the
-      loaded graph's node and edge counts unchanged.
-
-    A save or load that raises is a failure in itself — the generator
-    only produces documents the store must accept. *)
 let loaded_vs_frozen ~seed ~(xml : string) ~(source : string) : verdict =
   match Gql_core.Gql.language_of_source source with
   | `Unknown -> failf "query source has no language header"

@@ -1,74 +1,3 @@
-(** Classical graph algorithms over {!Digraph}.
-
-    Everything here is payload-agnostic; predicates and label filters are
-    passed in.  Complexity notes are in each doc comment because these
-    run inside the pattern matchers' inner loops. *)
-
-(** Breadth-first order from [starts], following edges that satisfy
-    [follow] (default: all).  O(V + E). *)
-let bfs ?(follow = fun _ -> true) g starts =
-  let n = Digraph.n_nodes g in
-  let seen = Array.make n false in
-  let queue = Queue.create () in
-  List.iter
-    (fun s ->
-      if not seen.(s) then begin
-        seen.(s) <- true;
-        Queue.add s queue
-      end)
-    starts;
-  let order = ref [] in
-  while not (Queue.is_empty queue) do
-    let u = Queue.take queue in
-    order := u :: !order;
-    List.iter
-      (fun (v, l) ->
-        if follow l && not seen.(v) then begin
-          seen.(v) <- true;
-          Queue.add v queue
-        end)
-      (Digraph.succ g u)
-  done;
-  List.rev !order
-
-(** Nodes reachable from [starts] (including them), as a membership array. *)
-let reachable ?follow g starts =
-  let n = Digraph.n_nodes g in
-  let mark = Array.make n false in
-  List.iter (fun u -> mark.(u) <- true) (bfs ?follow g starts);
-  mark
-
-(** Depth-first postorder of the whole graph.  O(V + E), iterative. *)
-let dfs_postorder g =
-  let n = Digraph.n_nodes g in
-  let seen = Array.make n false in
-  let order = ref [] in
-  let visit u =
-    (* Explicit stack to survive deep synthetic documents. *)
-    let stack = ref [ (u, ref (Digraph.succ g u)) ] in
-    seen.(u) <- true;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | (v, rest) :: tl -> (
-        match !rest with
-        | [] ->
-          order := v :: !order;
-          stack := tl
-        | (w, _) :: more ->
-          rest := more;
-          if not seen.(w) then begin
-            seen.(w) <- true;
-            stack := (w, ref (Digraph.succ g w)) :: !stack
-          end)
-    done
-  in
-  for u = 0 to n - 1 do
-    if not seen.(u) then visit u
-  done;
-  List.rev !order
-
-(** Topological sort; [None] if the graph has a cycle.  O(V + E). *)
 let topological_sort g =
   let n = Digraph.n_nodes g in
   let indeg = Array.make n 0 in
@@ -93,8 +22,6 @@ let topological_sort g =
 
 let is_acyclic g = topological_sort g <> None
 
-(** Strongly connected components (Tarjan), iterative.  Returns components
-    in reverse topological order of the condensation.  O(V + E). *)
 let scc g =
   let n = Digraph.n_nodes g in
   let index = Array.make n (-1) in
@@ -149,66 +76,3 @@ let scc g =
     if index.(v) = -1 then strongconnect v
   done;
   List.rev !components
-
-(** Shortest (hop-count) path between two nodes following labelled edges;
-    [None] if unreachable.  Returns the node sequence including both
-    endpoints. *)
-let shortest_path ?(follow = fun _ -> true) g ~src ~dst =
-  let n = Digraph.n_nodes g in
-  let parent = Array.make n (-1) in
-  let seen = Array.make n false in
-  let queue = Queue.create () in
-  seen.(src) <- true;
-  Queue.add src queue;
-  let found = ref false in
-  while (not !found) && not (Queue.is_empty queue) do
-    let u = Queue.take queue in
-    if u = dst then found := true
-    else
-      List.iter
-        (fun (v, l) ->
-          if follow l && not seen.(v) then begin
-            seen.(v) <- true;
-            parent.(v) <- u;
-            Queue.add v queue
-          end)
-        (Digraph.succ g u)
-  done;
-  if not !found then None
-  else begin
-    let rec build acc v = if v = src then src :: acc else build (v :: acc) parent.(v) in
-    Some (build [] dst)
-  end
-
-(** Transitive closure as a boolean matrix — O(V * (V + E)); only for the
-    small graphs of queries and schemas, never for databases. *)
-let transitive_closure g =
-  let n = Digraph.n_nodes g in
-  Array.init n (fun u -> reachable g [ u ])
-
-(** Undirected connected components (used for join-ordering in the
-    algebra: each component of a pattern is planned independently). *)
-let undirected_components g =
-  let n = Digraph.n_nodes g in
-  let comp = Array.make n (-1) in
-  let current = ref 0 in
-  for u = 0 to n - 1 do
-    if comp.(u) = -1 then begin
-      let queue = Queue.create () in
-      Queue.add u queue;
-      comp.(u) <- !current;
-      while not (Queue.is_empty queue) do
-        let v = Queue.take queue in
-        let touch w =
-          if comp.(w) = -1 then begin
-            comp.(w) <- !current;
-            Queue.add w queue
-          end
-        in
-        List.iter (fun (w, _) -> touch w) (Digraph.succ g v);
-        List.iter (fun (w, _) -> touch w) (Digraph.pred g v)
-      done;
-      incr current
-    end
-  done;
-  (comp, !current)

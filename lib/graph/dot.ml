@@ -1,7 +1,3 @@
-(** Graphviz DOT export — the debugging view of every graph in the
-    system (data graphs, query graphs, schema graphs).  The presentation
-    view is [Gql_visual]; DOT is for developers. *)
-
 let escape s =
   let buf = Buffer.create (String.length s + 4) in
   String.iter
@@ -14,8 +10,6 @@ let escape s =
     s;
   Buffer.contents buf
 
-(** Render with user-supplied labellers.  [node_attrs]/[edge_attrs] may
-    add extra DOT attributes (e.g. [shape=box], [style=dashed]). *)
 let to_string ?(name = "g") ?(node_attrs = fun _ _ -> [])
     ?(edge_attrs = fun _ -> []) ~node_label ~edge_label g =
   let buf = Buffer.create 1024 in

@@ -1,23 +1,4 @@
-(** Sorted integer sets over flat arrays — the candidate-set currency of
-    the whole data path.
-
-    A set is an [int array] that is sorted ascending and duplicate-free;
-    that invariant is what every operation below assumes and preserves.
-    The representation is deliberately transparent: index postings,
-    matcher candidate lists and planner estimates all share the same
-    arrays with zero copying, [length] is O(1), and {!Par} can hand a
-    contiguous [sub] slice to each domain without rebuilding lists.
-
-    Intersection is the hot operation (candidate propagation intersects
-    the postings of every pattern edge incident to the bound region).
-    [inter] picks between a linear merge and a galloping search: when
-    one side is much smaller, binary-search probes from the small side
-    cost O(|small| * log |large|) instead of O(|small| + |large|).
-    {!inter_linear} and {!inter_gallop} expose both paths so tests can
-    pin the crossover behaviour. *)
-
 type t = int array
-(** sorted ascending, no duplicates *)
 
 let empty : t = [||]
 let length (s : t) = Array.length s
@@ -26,11 +7,6 @@ let get (s : t) i = s.(i)
 let to_list (s : t) = Array.to_list s
 let iter f (s : t) = Array.iter f s
 let fold f acc (s : t) = Array.fold_left f acc s
-let equal (a : t) (b : t) = a = b
-
-(** Contiguous slice [\[lo, lo+len)] — still sorted and unique, so the
-    result is itself a set.  This is how the parallel driver chunks a
-    candidate set. *)
 let sub (s : t) lo len : t = Array.sub s lo len
 
 (* Sort-and-dedup in place over a scratch copy; the common pre-sorted
@@ -52,14 +28,6 @@ let dedup_sorted (a : int array) : t =
     if !w = n then a else Array.sub a 0 !w
   end
 
-let of_array (a : int array) : t =
-  if sorted_from a 0 then Array.copy a
-  else begin
-    let c = Array.copy a in
-    Array.sort compare c;
-    dedup_sorted c
-  end
-
 let of_list (l : int list) : t =
   let a = Array.of_list l in
   if sorted_from a 0 then a
@@ -68,11 +36,7 @@ let of_list (l : int list) : t =
     dedup_sorted a
   end
 
-(** Trusted constructor: [a] must already be sorted and duplicate-free.
-    Shares the array — never mutate it afterwards. *)
 let unsafe_of_sorted_array (a : int array) : t = a
-
-let singleton x : t = [| x |]
 
 (* Smallest index in [s.[lo, hi)] holding a value >= x (hi if none) —
    the primitive under both membership and galloping. *)
@@ -84,9 +48,6 @@ let lower_bound (s : t) x lo hi =
   done;
   !lo
 
-(** Membership of [x] in the sorted slice [pool.[lo, hi)] without
-    materialising it — the snapshot loader's flat postings answer link
-    tests straight off the shared pool array, allocating nothing. *)
 let mem_range (pool : int array) ~lo ~hi x =
   if hi - lo <= 8 then begin
     let rec go i = i < hi && (pool.(i) = x || (pool.(i) < x && go (i + 1))) in
@@ -134,9 +95,6 @@ let inter_linear (a : t) (b : t) : t =
     if !w = 0 then empty else Array.sub out 0 !w
   end
 
-(** Galloping intersection: probe each element of the smaller set into
-    the larger one, restarting the binary search past the last hit so a
-    full pass costs O(|small| * log |large|). *)
 let inter_gallop (small : t) (large : t) : t =
   let ls = Array.length small and ll = Array.length large in
   if ls = 0 || ll = 0 then empty
@@ -167,10 +125,6 @@ let inter (a : t) (b : t) : t =
   else if ll >= ls * gallop_factor then inter_gallop small large
   else inter_linear a b
 
-(** Intersect all sets, smallest first, so intermediate results can only
-    shrink and every later intersection is vs. the current (small)
-    running set.  [inter_many []] is undefined domain-wise; callers
-    guard the empty case. *)
 let inter_many (sets : t list) : t =
   match List.sort (fun a b -> compare (Array.length a) (Array.length b)) sets with
   | [] -> invalid_arg "Iset.inter_many: empty list"
@@ -207,7 +161,6 @@ let union (a : t) (b : t) : t =
     if !w = la + lb then out else Array.sub out 0 !w
   end
 
-(** Elements of [a] not in [b]. *)
 let diff (a : t) (b : t) : t =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then (if la = 0 then empty else Array.copy a)
@@ -226,7 +179,6 @@ let diff (a : t) (b : t) : t =
     if !w = la then out else Array.sub out 0 !w
   end
 
-(** Order-preserving filter — the matcher's node-predicate re-check. *)
 let filter (p : int -> bool) (s : t) : t =
   let n = Array.length s in
   let out = Array.make n 0 in

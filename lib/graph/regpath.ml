@@ -1,34 +1,3 @@
-(** Regular path queries — flat product-automaton engine.
-
-    GraphLog introduced dashed edges carrying a regular expression over
-    edge labels: such an edge matches any *path* in the database whose
-    label word belongs to the expression's language (e.g. [index+] in the
-    paper's root-link example).  WG-Log inherits the construct, XML-GL's
-    deep containment is the special case [child+], and the textual MATCH
-    front-end exposes the full surface — so this module is the
-    navigational workhorse of all three engines.
-
-    Implementation: the regex is compiled once into a dense int-indexed
-    automaton — its Glushkov (position) automaton, ε-free by
-    construction, flattened into offset/target arrays.  State 0 is the
-    start and state [p] means "position [p] was just read", so a
-    transition into [p] tests leaf [p].  Evaluation is then a plain BFS
-    over single [(node, state)] pairs: the product space is
-    [|V| * |Q|], visited pairs live in a flat [Bytes] bitset, the
-    frontier is an int array whose retained prefix doubles as the
-    touched list (so clearing costs O(visited), not O(|V|*|Q|)), and no
-    list cell is allocated on the hot path.  Scratch buffers are
-    domain-local and reused across searches; [connects] exits on the
-    first accepting pair; a reverse automaton built from the same
-    positions answers "which sources reach [n]" without scanning the
-    graph.
-
-    Each symbol leaf carries both a predicate closure (for mutable
-    [Digraph]s and generic frozen views) and a classification
-    ([Lany]/[Lname]/[Lopaque]) that [Gql_data.Index] resolves against
-    the snapshot's interned symbols, turning label tests on the frozen
-    planes into single integer compares. *)
-
 (* ------------------------------------------------------------------ *)
 (* Engine counters, mirroring [Par.stats].                             *)
 
@@ -41,20 +10,15 @@ let c_frontier_peak = Atomic.make 0
 let c_scratch_reuses = Atomic.make 0
 
 type stats = {
-  compiles : int;  (** regexes compiled to automata *)
-  specialisations : int;  (** per-snapshot symbol resolutions *)
-  searches : int;  (** product-BFS runs (any direction, any backend) *)
-  memo_hits : int;  (** snapshot path-memo hits (bumped by the index) *)
+  compiles : int;
+  specialisations : int;
+  searches : int;
+  memo_hits : int;
   memo_misses : int;
   frontier_peak : int;
-      (** the most (node,state) pairs one search pushed, over the searches
-          since the previous {!stats} call *)
-  scratch_reuses : int;  (** searches that reused a warm domain-local scratch *)
+  scratch_reuses : int;
 }
 
-(** The counters now.  Reading takes the frontier peak: each call
-    reports the peak of the searches since the call before it, so a
-    [before]/[after] pair, or two METRICS requests, bracket a window. *)
 let stats () =
   {
     compiles = Atomic.get c_compiles;
@@ -100,10 +64,6 @@ let rec bump_max a v =
 (* ------------------------------------------------------------------ *)
 (* Automaton representation.                                           *)
 
-(** How a symbol leaf tests an edge once the snapshot's interned symbols
-    are known.  [Lany] admits every edge the plane admits; [Lname]
-    compares against one interned name; [Lopaque] always falls back to
-    the leaf's predicate closure. *)
 type lclass = Lany | Lname of string | Lopaque
 
 (* One direction of the automaton.  State [q] owns transitions
@@ -111,27 +71,26 @@ type lclass = Lany | Lname of string | Lopaque
    [p = h_next.(ti)], a position, by testing leaf [p] (index [p - 1] of
    the leaf arrays).  Leaves are positions in [Syntax.symbols] order. *)
 type half = {
-  h_off : int array;  (** length [n_states + 1] *)
+  h_off : int array;
   h_next : int array;
-  h_final : bool array;  (** accepting states *)
+  h_final : bool array;
 }
 
 type 'e t = {
-  uid : int;  (** process-unique; keys per-snapshot spec/memo caches *)
-  plane_hint : int;  (** which frozen edge plane applies; 0 = none *)
-  n_states : int;  (** positions + 1 *)
-  is_nullable : bool;  (** ε ∈ L: the start node is always reachable *)
-  bound : int option;  (** longest accepted word when the language is finite *)
-  preds : ('e -> bool) array;  (** per-leaf predicate closures *)
-  classes : lclass array;  (** per-leaf classification *)
-  opaque_spec : int array;  (** all-[-2] spec: force the predicate lane *)
+  uid : int;
+  plane_hint : int;
+  n_states : int;
+  is_nullable : bool;
+  bound : int option;
+  preds : ('e -> bool) array;
+  classes : lclass array;
+  opaque_spec : int array;
   fwd : half;
-  rev : half;  (** same language reversed; answers backward navigation *)
+  rev : half;
 }
 
 let uid t = t.uid
 let plane_hint t = t.plane_hint
-let nullable t = t.is_nullable
 let depth_bound t = t.bound
 let uid_counter = Atomic.make 0
 
@@ -213,11 +172,6 @@ let compile (pred : 'a -> 'e -> bool) (re : 'a Gql_regex.Syntax.t) : 'e t =
 
 (* --- per-snapshot specialisation ----------------------------------- *)
 
-(** Per-leaf resolved symbol test against one snapshot's interner:
-    [>= 0] interned id to compare, [-1] any plane-admitted edge,
-    [-2] call the predicate closure, [-3] a name unseen at freeze time
-    (matches nothing — symbols interned after the snapshot cannot name
-    any frozen edge). *)
 type spec = int array
 
 let specialise (t : 'e t) ~(intern : string -> int) : spec =
@@ -439,9 +393,6 @@ let csr_rev_plane (c : (_, _) Csr.t) (plane : int array) u k =
 
 (* --- public search API --------------------------------------------- *)
 
-(** All nodes reachable from [start] along a path whose labels match the
-    expression, ascending.  The empty path counts when the expression is
-    nullable (so [start] itself may be returned). *)
 let reachable_set (rp : 'e t) (g : ('n, 'e) Digraph.t) (start : Digraph.node) :
     Iset.t =
   set_of
@@ -450,16 +401,12 @@ let reachable_set (rp : 'e t) (g : ('n, 'e) Digraph.t) (start : Digraph.node) :
 
 let reachable rp g start : Digraph.node list = Iset.to_list (reachable_set rp g start)
 
-(** All sources from which a matching path leads *to* [start] (the
-    reverse automaton walked over predecessor edges), ascending. *)
 let reachable_rev_set (rp : 'e t) (g : ('n, 'e) Digraph.t) (start : Digraph.node) :
     Iset.t =
   set_of
     (product_search rp rp.rev rp.opaque_spec ~n_nodes:(Digraph.n_nodes g)
        ~iter:(dg_rev g) ~src:start ~target:(-1))
 
-(** Same searches over a frozen CSR view, testing each edge with the
-    leaf predicates. *)
 let reachable_frozen_set (rp : 'e t) (c : ('n, 'e) Csr.t) (start : Digraph.node) :
     Iset.t =
   set_of
@@ -475,9 +422,6 @@ let reachable_frozen_rev_set (rp : 'e t) (c : ('n, 'e) Csr.t)
     (product_search rp rp.rev rp.opaque_spec ~n_nodes:(Csr.n_nodes c)
        ~iter:(csr_rev c) ~src:start ~target:(-1))
 
-(** Frozen searches over a specialised symbol plane: [plane] assigns
-    each edge (in [out_lab]/[in_lab] order) its interned name, or [-1]
-    when the lane rejects the edge; label tests become int compares. *)
 let reachable_plane (rp : 'e t) (spec : spec) (c : ('n, 'e) Csr.t)
     ~(plane : int array) (start : Digraph.node) : Iset.t =
   set_of
@@ -490,8 +434,6 @@ let reachable_rev_plane (rp : 'e t) (spec : spec) (c : ('n, 'e) Csr.t)
     (product_search rp rp.rev spec ~n_nodes:(Csr.n_nodes c)
        ~iter:(csr_rev_plane c plane) ~src:start ~target:(-1))
 
-(** Does a matching path lead from [src] to [dst]?  Exits on the first
-    accepting [(dst, state)] pair instead of materialising the set. *)
 let connects rp (g : ('n, 'e) Digraph.t) ~src ~dst =
   match
     product_search rp rp.fwd rp.opaque_spec ~n_nodes:(Digraph.n_nodes g)
@@ -517,8 +459,6 @@ let batch t h ~n_nodes ~iter (srcs : int array) : Iset.t array =
           set_of (search_scratch t h t.opaque_spec s ~iter ~src ~target:(-1)))
         srcs)
 
-(** [reachable_batch rp g srcs] = per-source reachable sets, resolved in
-    one scratch sweep. *)
 let reachable_batch (rp : 'e t) (g : ('n, 'e) Digraph.t) (srcs : int array) :
     Iset.t array =
   batch rp rp.fwd ~n_nodes:(Digraph.n_nodes g) ~iter:(dg_fwd g) srcs
@@ -579,10 +519,6 @@ let reachable_subset_frozen (rp : 'e t) (c : ('n, 'e) Csr.t)
     (start : Digraph.node) : Digraph.node list =
   reachable_subset_iter rp start ~iter_succ:(fun node f -> Csr.iter_succ f c node)
 
-(** Reference implementation for property tests: enumerate all paths up
-    to [max_len] hops, taking the Brzozowski derivative of the regex
-    along each, independent of any automaton.  Exponential; small graphs
-    only. *)
 let reachable_naive (pred : 'a -> 'e -> bool) (re : 'a Gql_regex.Syntax.t)
     (g : ('n, 'e) Digraph.t) (start : Digraph.node) ~max_len =
   let results = Hashtbl.create 16 in

@@ -1,7 +1,3 @@
-(** Minimal growable array (OCaml 5.1 predates [Dynarray]).
-
-    Used for node/edge storage in {!Digraph}; amortised O(1) push. *)
-
 type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
 
 let create ?(capacity = 8) ~dummy () =
@@ -26,12 +22,8 @@ let push v x =
   v.len <- v.len + 1;
   v.len - 1
 
-(** An independent copy sharing no mutable state with the original. *)
 let copy v = { data = Array.copy v.data; len = v.len; dummy = v.dummy }
 
-(** Wrap [a] as a vector of exactly its elements.  Takes ownership of
-    the array (the vector mutates it in place on [set]/[push]); callers
-    that still need [a] must pass a copy. *)
 let of_array ~(dummy : 'a) (a : 'a array) : 'a t =
   if Array.length a = 0 then create ~dummy ()
   else { data = a; len = Array.length a; dummy }
@@ -40,12 +32,3 @@ let iteri f v =
   for i = 0 to v.len - 1 do
     f i v.data.(i)
   done
-
-let fold f acc v =
-  let acc = ref acc in
-  for i = 0 to v.len - 1 do
-    acc := f !acc v.data.(i)
-  done;
-  !acc
-
-let to_list v = List.init v.len (fun i -> v.data.(i))

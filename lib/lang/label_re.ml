@@ -1,9 +1,3 @@
-(** Parser for regular path expressions over edge labels.
-
-    These appear on GraphLog/WG-Log dashed edges; syntax:
-    [link], [index+], [(link|index)* ref?], ['.' = any label].
-    Sequencing is by juxtaposition. *)
-
 exception Error of string
 
 let parse (src : string) : string Gql_regex.Syntax.t =
@@ -88,8 +82,6 @@ let parse (src : string) : string Gql_regex.Syntax.t =
   if !pos <> n then error "trailing input in path expression";
   r
 
-(** Matching of a label symbol against a data label: the reserved ["*"]
-    matches anything. *)
 let symbol_matches sym label = sym = "*" || sym = label
 
 let to_string (re : string Gql_regex.Syntax.t) =

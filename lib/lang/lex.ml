@@ -1,24 +1,14 @@
-(** Token-level utilities shared by the two textual front-ends.
-
-    The concrete syntax of both languages is deliberately line-based: a
-    program is a sequence of declarations, one per line, mirroring how a
-    visual editor would serialise a diagram (one line per node or edge).
-    Comments run from [#] to end of line. *)
-
 type token =
   | Ident of string
-  | Str of string  (** "quoted" *)
+  | Str of string
   | Num of float
-  | Regex of string  (** /slashed/ *)
+  | Regex of string
   | Punct of char
 
 exception Error of string * int  (** message, line number *)
 
 let err line fmt = Printf.ksprintf (fun s -> raise (Error (s, line))) fmt
 
-(** The pattern of a [/regex/] token, compiled once here so that a
-    malformed one is a parse error on its line, not a failure at match
-    time. *)
 let regex ~line re =
   match Gql_regex.Chre.compile re with
   | _ -> re
@@ -33,7 +23,6 @@ let is_ident_char c =
 
 let is_digit c = (c >= '0' && c <= '9') || c = '.'
 
-(** Tokenise one line. *)
 let tokens_of_line ~line (s : string) : token list =
   let n = String.length s in
   let toks = ref [] in
@@ -101,7 +90,6 @@ let tokens_of_line ~line (s : string) : token list =
   done;
   List.rev !toks
 
-(** Split source into (line number, tokens) for non-empty lines. *)
 let tokenise (src : string) : (int * token list) list =
   String.split_on_char '\n' src
   |> List.mapi (fun i l -> (i + 1, l))

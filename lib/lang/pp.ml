@@ -1,8 +1,3 @@
-(** Pretty-printers from ASTs back to the textual concrete syntax.
-
-    [parse (print x) = x] up to node renaming is property-tested; the
-    printers are also what "export as text" would do in an editor. *)
-
 let value_literal (v : Gql_data.Value.t) =
   match v with
   | Gql_data.Value.Int i -> string_of_int i

@@ -1,17 +1,5 @@
-(** Evaluation routes and row rendering for [MATCH] queries.
-
-    Routes over one compiled form: the direct homomorphism matcher
-    (with or without an index provider) and the algebra executor, under
-    the planner's fail-first order or a caller-given reference order.  All routes produce the
-    same *bag* of embeddings; rows are rendered and then sorted
-    lexicographically, so every route — and the served path, cold or
-    cached — answers byte-identical text.  The [match-vs-algebra] fuzz
-    oracle holds this door shut. *)
-
 open Gql_data
 
-(** Embeddings via {!Gql_graph.Homo.iter_embeddings}, residuals applied
-    after the fact (the matcher knows nothing about WHERE). *)
 let bindings ?(index : Index.t option) ?domains (data : Graph.t)
     (c : Compile.t) : int array list =
   let provider = Option.map (fun idx -> Compile.provider idx c) index in
@@ -25,9 +13,6 @@ let bindings ?(index : Index.t option) ?domains (data : Graph.t)
         c.Compile.residuals)
     (List.rev !acc)
 
-(** Embeddings via the algebra: plan with [planner] (default
-    {!Gql_algebra.Planner.build}; residuals become Filter operators),
-    run with {!Gql_algebra.Exec.run}. *)
 let bindings_algebra
     ?(planner = fun data job -> Gql_algebra.Planner.build data job)
     ?(index : Index.t option) ?domains (data : Graph.t) (c : Compile.t) :
@@ -37,8 +22,6 @@ let bindings_algebra
   Gql_algebra.Exec.run ?provider:job.Gql_algebra.Planner.provider ?domains
     data c.Compile.pattern plan
 
-(** The cell of [node] in a column returning [r]: the node's label or
-    atom, or its value. *)
 let cell (data : Graph.t) (r : Ast.ret) (node : int) : string =
   match r with
   | Ast.Node _ -> (
@@ -221,25 +204,18 @@ let render (data : Graph.t) (c : Compile.t) (b : Gql_algebra.Exec.batch) :
       else sorted_lines (fun r j -> cell_of_rank.(rk.((r * m) + j)))
   end
 
-(** {!render} over a list of bindings. *)
 let body (data : Graph.t) (c : Compile.t) (embs : int array list) : string =
   render data c
     (Gql_algebra.Exec.of_bindings
        ~width:(Array.length c.Compile.pattern.Gql_graph.Homo.p_nodes)
        embs)
 
-(** A planned MATCH query: compiled form + physical plan + provider,
-    ready to execute against the snapshot it was planned for.  This is
-    what the server's plan cache stores — planning (estimate scans, the
-    fail-first join order, EXPLAIN annotation) runs once per (query
-    hash, snapshot version). *)
 type prepared = {
   pr_compiled : Compile.t;
   pr_plan : Gql_algebra.Plan.t;
   pr_provider : (Graph.node_kind, Graph.edge) Gql_graph.Homo.provider option;
 }
 
-(** Compile and plan. *)
 let prepare ?(index : Index.t option) (data : Graph.t) (q : Ast.query) :
     prepared =
   let c = Compile.compile q in
@@ -250,8 +226,6 @@ let prepare ?(index : Index.t option) (data : Graph.t) (q : Ast.query) :
     pr_provider = job.Gql_algebra.Planner.provider;
   }
 
-(** Execute a prepared query; returns the canonical body and row count.
-    [data] must be the snapshot [prepare] planned against. *)
 let run_prepared ?domains (data : Graph.t) (p : prepared) : string * int =
   let b =
     Gql_algebra.Exec.run_batch ?provider:p.pr_provider ?domains data
@@ -259,13 +233,9 @@ let run_prepared ?domains (data : Graph.t) (p : prepared) : string * int =
   in
   (render data p.pr_compiled b, b.Gql_algebra.Exec.rows)
 
-(** The served entry point: compile, plan (the same route `gql serve`
-    uses), run through the algebra, render.  Returns the
-    body and the row count. *)
 let run ?(index : Index.t option) ?domains (data : Graph.t) (q : Ast.query) :
     string * int =
   run_prepared ?domains data (prepare ?index data q)
 
-(** The plan text for a MATCH query — EXPLAIN, cost-annotated. *)
 let explain ?(index : Index.t option) (data : Graph.t) (q : Ast.query) : string =
   Gql_algebra.Plan.to_string (prepare ?index data q).pr_plan

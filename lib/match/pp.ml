@@ -1,10 +1,3 @@
-(** Canonical printer for {!Ast} queries.
-
-    [parse (query q) = q] and [query (parse (query q)) = query q] hold
-    for every parseable source — the [match-vs-algebra] fuzz oracle
-    asserts both on every generated case, and the shrinker relies on
-    printing reduced ASTs back to source. *)
-
 let lit (v : Gql_data.Value.t) : string =
   match v with
   | Gql_data.Value.String s -> "\"" ^ s ^ "\""

@@ -1,14 +1,3 @@
-(** Clause-internal shrink candidates for the fuzzer.
-
-    The line-dropping shrinker in {!Gql_fuzz.Shrink} already removes
-    whole clauses; this module proposes the next granularity down for a
-    still-failing [MATCH] repro: drop the last hop of a chain, drop one
-    [WHERE] conjunct, drop one [RETURN] column (keeping at least one).
-    Candidates are printed back through {!Pp} and filtered to those
-    that still compile, so the shrinker never wastes oracle runs on
-    queries that fail for a new, boring reason (e.g. an orphaned
-    variable). *)
-
 let replace_nth l n x = List.mapi (fun i y -> if i = n then x else y) l
 let drop_nth l n = List.filteri (fun i _ -> i <> n) l
 
@@ -45,8 +34,6 @@ let ast_candidates (q : Ast.query) : Ast.query list =
       q.Ast.returns;
   List.rev !out
 
-(** Shrink candidates for a [MATCH] source text, largest reduction
-    first; empty if the source does not parse. *)
 let candidates (src : string) : string list =
   match Parse.parse_result src with
   | Error _ -> []

@@ -1,20 +1,5 @@
-(** Character-level regular expressions.
-
-    These are the regexes that appear in query predicates — e.g. the
-    [/Van.*/] and [/[hH]olland/] patterns of the paper's running examples —
-    and in GraphLog-style textual conditions.  The supported syntax is the
-    classical core: literals, [.], character classes [[a-z0-9]] (with
-    ranges and [^] negation), grouping, alternation [|], and the postfix
-    operators [*], [+], [?].  Escaping with [\\] makes any metacharacter
-    literal; [\\d], [\\w], [\\s] are provided as conveniences.
-
-    A pattern by default must match the whole subject ({!matches});
-    {!search} finds a match anywhere in the subject.  Matching simulates
-    the pattern's Glushkov automaton over position bitsets (linear time,
-    never backtracking, no allocation per byte). *)
-
 type cls =
-  | Any  (** [.] — any character *)
+  | Any
   | Lit of char
   | Set of { ranges : (char * char) list; negated : bool }
 
@@ -23,8 +8,6 @@ type t = {
   case_insensitive : bool;
   auto : cls Glushkov.t;
   byte_mask : int array;
-      (** row [c] (at [c * words]): the positions whose class admits
-          byte [c] *)
   ast : cls Syntax.t;
 }
 
@@ -243,11 +226,6 @@ let compile ?(case_insensitive = false) pattern =
   done;
   { pattern; case_insensitive; auto; byte_mask; ast }
 
-let compile_opt ?case_insensitive pattern =
-  match compile ?case_insensitive pattern with
-  | t -> Some t
-  | exception Parse_error _ -> None
-
 (* Runs the automaton over [subject] in two scratch bitsets.  With
    [floating], state 0 stays live at every byte, so a match may start
    anywhere, and the first accepting set ends the run: the language of
@@ -273,11 +251,6 @@ let run ~floating t subject =
 
 let matches t subject = run ~floating:false t subject
 let search t subject = run ~floating:true t subject
-let pattern t = t.pattern
-let ast t = t.ast
-
-(* Reference matcher (Brzozowski derivatives), used by property tests
-   to cross-check the automaton on random patterns and subjects. *)
 let matches_reference t subject =
   let r = ref t.ast in
   String.iter

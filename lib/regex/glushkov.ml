@@ -1,30 +1,11 @@
-(** Glushkov (position) automata — the one automaton construction behind
-    every regular expression in the system.
-
-    Positions number the symbol leaves of the expression left to right
-    (the order of {!Syntax.symbols}), starting at 1; state 0 is the
-    start, and state [p > 0] means "position [p] was just read".  A
-    transition into [p] reads a token matching the symbol at [p], so the
-    automaton is ε-free by construction and has one state per leaf plus
-    the start.
-
-    DTD content models such as [(title?, price, AUTHOR°)] (where ° is the
-    Kleene star) are regular expressions over element names, and the
-    XML 1.0 rule that content models be *deterministic* (1-unambiguous)
-    is exactly determinism of this automaton.  Character regexes
-    ({!Chre}) run it over position bitsets, and regular path expressions
-    ([Gql_graph.Regpath]) flatten it into a product-BFS automaton. *)
-
 type 'a t = {
-  syms : 'a array;  (** [syms.(p - 1)] is the symbol at position [p] *)
+  syms : 'a array;
   follow : int array array;
-      (** [follow.(q)], ascending: the positions that may be read in
-          state [q]; [follow.(0)] is the first set *)
-  last : int array;  (** ascending *)
+  last : int array;
   nullable : bool;
-  words : int;  (** bitset width: ⌈(n + 1) / 63⌉ ints *)
-  follow_bits : int array;  (** row [q] (at [q * words]) = [follow.(q)] *)
-  final_bits : int array;  (** [last], plus state 0 when [nullable] *)
+  words : int;
+  follow_bits : int array;
+  final_bits : int array;
 }
 
 let n_positions t = Array.length t.syms
@@ -46,15 +27,11 @@ let start_set t =
   add s 0;
   s
 
-(** Bitset of the positions whose symbol satisfies [f]. *)
 let mask t f =
   let m = empty_set t in
   Array.iteri (fun i s -> if f s then add m (i + 1)) t.syms;
   m
 
-(** [step t cur ~mask ~moff next] sets [next] to the positions that
-    follow some state of [cur] and lie in the [words]-int row of [mask]
-    at [moff]; [true] iff that set is non-empty.  Allocates nothing. *)
 let step t (cur : int array) ~(mask : int array) ~moff (next : int array) =
   let w = t.words in
   Array.fill next 0 w 0;
@@ -80,7 +57,6 @@ let step t (cur : int array) ~(mask : int array) ~moff (next : int array) =
   done;
   !any <> 0
 
-(** Does the state set contain a final state? *)
 let accepting t (set : int array) =
   let hit = ref false in
   for j = 0 to t.words - 1 do
@@ -151,8 +127,6 @@ let build (re : 'a Syntax.t) : 'a t =
 
 (* --- DTD content models --------------------------------------------- *)
 
-(** Determinism (= 1-unambiguity of the source expression): no state has
-    two outgoing transitions on the same symbol. *)
 let deterministic ?(equal = ( = )) t =
   let rec distinct = function
     | [] -> true
@@ -162,7 +136,6 @@ let deterministic ?(equal = ( = )) t =
     (fun ps -> distinct (Array.to_list (Array.map (sym_at t) ps)))
     t.follow
 
-(** Acceptance of a symbol sequence. *)
 let accepts ?(equal = ( = )) t word =
   let rec go cur next = function
     | [] -> accepting t cur
@@ -171,8 +144,3 @@ let accepts ?(equal = ( = )) t word =
       && go next cur rest
   in
   go (start_set t) (empty_set t) word
-
-(** First symbols that could legally start a word, for error reporting. *)
-let expected_first ?(equal = ( = )) t =
-  let add acc s = if List.exists (equal s) acc then acc else s :: acc in
-  List.rev (Array.fold_left (fun acc p -> add acc (sym_at t p)) [] (first t))

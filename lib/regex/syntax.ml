@@ -1,24 +1,12 @@
-(** Abstract syntax of regular expressions over an arbitrary alphabet.
-
-    This single AST backs three distinct users in the system:
-    - character-level regexes in query predicates ({!Chre});
-    - regular path expressions over edge labels (GraphLog-style dashed
-      edges, see [Gql_graph.Regpath]);
-    - DTD content models over element names (see [Gql_dtd] and
-      {!Glushkov}).
-
-    Leaves carry an abstract symbol ['a]; how a symbol matches an input
-    token is decided by the compiler that consumes the AST. *)
-
 type 'a t =
-  | Empty  (** the empty language (matches nothing) *)
-  | Eps  (** the empty word *)
-  | Sym of 'a  (** a single alphabet symbol *)
-  | Seq of 'a t * 'a t  (** concatenation *)
-  | Alt of 'a t * 'a t  (** union *)
-  | Star of 'a t  (** Kleene star *)
-  | Plus of 'a t  (** one or more *)
-  | Opt of 'a t  (** zero or one *)
+  | Empty
+  | Eps
+  | Sym of 'a
+  | Seq of 'a t * 'a t
+  | Alt of 'a t * 'a t
+  | Star of 'a t
+  | Plus of 'a t
+  | Opt of 'a t
 
 (* Smart constructors perform the cheap algebraic simplifications that keep
    automata small: identities of [Eps]/[Empty] and idempotence of [Star]. *)
@@ -59,7 +47,6 @@ let opt = function
 let seq_list rs = List.fold_left seq eps rs
 let alt_list rs = List.fold_left alt empty rs
 
-(** [nullable r] is [true] iff the empty word belongs to the language. *)
 let rec nullable = function
   | Empty -> false
   | Eps -> true
@@ -69,12 +56,6 @@ let rec nullable = function
   | Star _ | Opt _ -> true
   | Plus r -> nullable r
 
-(** Brzozowski derivative of [r] by one token: the language of the
-    words [w] such that [tok w] is in [r], where [matches s tok] decides
-    whether symbol [s] admits [tok].  A word is accepted iff the
-    derivative by all its tokens is {!nullable}.  Independent of any
-    automaton construction, it is the reference the automata are
-    tested against. *)
 let rec derive (matches : 'a -> 'tok -> bool) (tok : 'tok) (r : 'a t) : 'a t =
   match r with
   | Empty | Eps -> Empty
@@ -86,14 +67,6 @@ let rec derive (matches : 'a -> 'tok -> bool) (tok : 'tok) (r : 'a t) : 'a t =
   | Star a | Plus a -> seq (derive matches tok a) (star a)
   | Opt a -> derive matches tok a
 
-(** Number of AST nodes; used by tests and by the visual layer to bound
-    diagram sizes. *)
-let rec size = function
-  | Empty | Eps | Sym _ -> 1
-  | Seq (a, b) | Alt (a, b) -> 1 + size a + size b
-  | Star r | Plus r | Opt r -> 1 + size r
-
-(** Symbols occurring in the expression, left to right, with duplicates. *)
 let symbols r =
   let rec go acc = function
     | Empty | Eps -> acc
@@ -103,21 +76,6 @@ let symbols r =
   in
   List.rev (go [] r)
 
-let map f r =
-  let rec go = function
-    | Empty -> Empty
-    | Eps -> Eps
-    | Sym s -> Sym (f s)
-    | Seq (a, b) -> Seq (go a, go b)
-    | Alt (a, b) -> Alt (go a, go b)
-    | Star r -> Star (go r)
-    | Plus r -> Plus (go r)
-    | Opt r -> Opt (go r)
-  in
-  go r
-
-(** Pretty-print with a symbol printer, fully parenthesising only where
-    precedence requires it (alt < seq < postfix). *)
 let to_string pp_sym r =
   let buf = Buffer.create 64 in
   (* prec: 0 alt, 1 seq, 2 postfix/atom *)

@@ -1,7 +1,3 @@
-(** A blocking client for the {!Protocol}: one socket, one outstanding
-    request at a time.  Used by [gql client], the server tests and the
-    E12 closed-loop benchmark. *)
-
 type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
 let of_fd fd =
@@ -27,14 +23,12 @@ let connect_tcp ~host ~port =
 let close t =
   try Unix.close t.fd with Unix.Unix_error _ -> ()
 
-(** One round trip at the payload level. *)
 let roundtrip t (payload : string) : string =
   Protocol.write_frame t.oc payload;
   match Protocol.read_frame t.ic with
   | Some response -> response
   | None -> raise (Protocol.Protocol_error "server closed the connection")
 
-(** One round trip at the typed level. *)
 let request t (req : Protocol.request) : Protocol.response =
   Protocol.parse_response (roundtrip t (Protocol.render_request req))
 

@@ -1,15 +1,3 @@
-(** Service observability: lock-free counters and latency histograms.
-
-    Every counter is an [Atomic.t] and the histogram buckets are atomics
-    too, so workers on different domains record without contending on a
-    lock; readers ([METRICS]) see a near-consistent snapshot, which is
-    all a monitoring endpoint needs.
-
-    The histogram is log-linear over microseconds: each power of two is
-    split into {!sub} linear sub-buckets, giving <= 25% relative error
-    on reported quantiles across nine decades — the classic HDR shape in
-    ~500 words of memory. *)
-
 type histogram = {
   buckets : int Atomic.t array;
   count : int Atomic.t;
@@ -55,7 +43,6 @@ let observe (h : histogram) ~us =
   in
   raise_max ()
 
-(** The [q]-quantile (0..1) in microseconds, or 0 with no observations. *)
 let quantile (h : histogram) q =
   let total = Atomic.get h.count in
   if total = 0 then 0
@@ -89,18 +76,17 @@ type t = {
   started_at : float;
   requests : int Atomic.t;
   errors : int Atomic.t;
-  timeouts : int Atomic.t;  (** every [TIMEOUT] answer *)
+  timeouts : int Atomic.t;
   cancelled : int Atomic.t;
-      (** the [TIMEOUT]s whose evaluation was stopped inside an engine *)
   loads : int Atomic.t;
   runs : int Atomic.t;
-  prepared_hits : int Atomic.t;  (** query cache: parse+plan reused *)
+  prepared_hits : int Atomic.t;
   prepared_misses : int Atomic.t;
-  result_hits : int Atomic.t;  (** result cache: evaluation skipped *)
+  result_hits : int Atomic.t;
   result_misses : int Atomic.t;
-  plan_hits : int Atomic.t;  (** plan cache: planning skipped *)
+  plan_hits : int Atomic.t;
   plan_misses : int Atomic.t;
-  latency : histogram;  (** per-request service time *)
+  latency : histogram;
 }
 
 let create () =
@@ -123,7 +109,6 @@ let create () =
 
 let incr = Atomic.incr
 
-(** The [METRICS] body: one [key=value] per line, stable keys. *)
 let render (t : t) : string =
   let b = Buffer.create 256 in
   let kv k v = Buffer.add_string b (Printf.sprintf "%s=%s\n" k v) in
@@ -149,7 +134,6 @@ let render (t : t) : string =
   ki "latency_max_us" (Atomic.get t.latency.max_us);
   Buffer.contents b
 
-(** Parse a [render]ed body back into an association list (client side). *)
 let parse_body (body : string) : (string * string) list =
   String.split_on_char '\n' body
   |> List.filter_map (fun line ->

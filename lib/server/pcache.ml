@@ -1,19 +1,3 @@
-(** The LRU plan cache.
-
-    Planning a MATCH query against a frozen snapshot is deterministic
-    but not free: the cost-based planner scans for cardinality
-    estimates, samples fan-outs and enumerates join orders.  Serve
-    traffic repeats the same few queries against the same snapshot, so
-    the planned form ({!Gql_match.Eval.prepared}) is cached keyed by
-    everything it depends on: the document name *and its snapshot
-    version* plus the prepared query's hash (the same MD5 `Qcache`
-    keys by).  Invalidation mirrors {!Rcache}: re-[LOAD]ing a document
-    bumps its version, and {!purge_doc} eagerly drops dead entries.
-
-    The value type is polymorphic so the cache stores prepared plans
-    without this module depending on the front-ends.  Same intrusive
-    doubly-linked LRU under one mutex as {!Rcache}. *)
-
 type key = { doc : string; version : int; qhash : string }
 
 type 'a node = {
@@ -27,7 +11,7 @@ type 'a t = {
   mutex : Mutex.t;
   capacity : int;
   table : (key, 'a node) Hashtbl.t;
-  mutable head : 'a node option;  (** most recently used *)
+  mutable head : 'a node option;
   mutable tail : 'a node option;
 }
 
@@ -83,7 +67,6 @@ let add t key value =
           Hashtbl.remove t.table victim.key
       done)
 
-(** Drop every entry of [doc] (any version) — called on re-[LOAD]. *)
 let purge_doc t doc =
   locked t (fun () ->
       let victims =
@@ -96,5 +79,3 @@ let purge_doc t doc =
           unlink t n;
           Hashtbl.remove t.table n.key)
         victims)
-
-let length t = locked t (fun () -> Hashtbl.length t.table)

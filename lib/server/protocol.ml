@@ -1,38 +1,3 @@
-(** The wire protocol of [gql serve].
-
-    Every message — request or response — is one *frame*:
-
-    {v
-      frame    ::=  length '\n' payload
-      length   ::=  decimal byte count of the payload
-    v}
-
-    The payload is text.  Its first line is the *head*; the remaining
-    bytes (if any) are the *body*.  Request heads:
-
-    {v
-      LOAD <doc> [key=val ...]            body = XML source
-      PREPARE <name> [schema=S]           body = query source (header line
-                                          'xmlgl' | 'wglog' selects the
-                                          language, as for `gql run`)
-      RUN <doc> <name> [deadline=MS]      run a prepared query
-      RUN <doc> [deadline=MS] [schema=S]  body = query source (one-shot)
-      EXPLAIN <doc> <name>                physical plan of a prepared query
-      EXPLAIN <doc>                       body = query source
-      STATS <doc>                         snapshot statistics
-      METRICS                             server counters and latencies
-      PING                                liveness probe
-      QUIT                                close the connection
-    v}
-
-    Response heads are ["OK ..."], ["ERR <message>"] or
-    ["TIMEOUT <elapsed-ms>"], followed by the result body (query output,
-    plan text, statistics).  Verbs are case-insensitive; [key=val]
-    arguments may appear in any order after the positional ones.
-
-    Frames are capped at {!max_frame} bytes; an over-long length header
-    or payload is a protocol error, not an allocation. *)
-
 let max_frame = 64 * 1024 * 1024
 
 exception Protocol_error of string
@@ -49,7 +14,6 @@ let write_frame (oc : out_channel) (payload : string) : unit =
   output_string oc payload;
   flush oc
 
-(** [None] on a clean EOF at a frame boundary. *)
 let read_frame (ic : in_channel) : string option =
   let buf = Buffer.create 16 in
   let rec header () =

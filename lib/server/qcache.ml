@@ -1,23 +1,10 @@
-(** The prepared-query cache.
-
-    Parsing a textual WG-Log/XML-GL program is pure, so one parse can
-    serve every later request with the same source: entries are keyed by
-    the MD5 of (schema tag, source) — [PREPARE]ing the same text twice,
-    or [RUN]ning an inline query the server has seen before, hits.
-    Names given by [PREPARE <name>] are aliases onto the hash table, so
-    a re-[PREPARE] of a name with new text simply repoints the alias.
-
-    Eviction is FIFO at [capacity] parses; aliases to an evicted hash
-    fall back to a re-parse on next use (the alias also remembers the
-    source). *)
-
 type prepared =
   | Xmlgl of Gql_xmlgl.Ast.program
   | Wglog of Gql_wglog.Ast.program
   | Match of Gql_match.Ast.query
 
 type entry = {
-  hash : string;  (** hex MD5 of (schema, source) *)
+  hash : string;
   lang : [ `Xmlgl | `Wglog | `Match ];
   schema : string option;
   source : string;
@@ -30,7 +17,6 @@ type t = {
   by_hash : (string, entry) Hashtbl.t;
   fifo : string Queue.t;
   by_name : (string, string * string option) Hashtbl.t;
-      (** name -> (source, schema): survives hash eviction *)
 }
 
 let create ?(capacity = 1024) () =
@@ -116,7 +102,6 @@ let insert t (e : entry) : entry =
     done;
     e
 
-(** Parse-or-reuse by source text; [hit] says the parse was skipped. *)
 let intern t ~schema source : (entry * bool, string) result =
   let hash = hash_of ~schema source in
   match locked t (fun () -> Hashtbl.find_opt t.by_hash hash) with
@@ -128,7 +113,6 @@ let intern t ~schema source : (entry * bool, string) result =
       let e = locked t (fun () -> insert t e) in
       Ok (e, false))
 
-(** [PREPARE name]: intern the source and alias [name] to it. *)
 let prepare t ~name ~schema source : (entry * bool, string) result =
   match intern t ~schema source with
   | Error _ as err -> err
@@ -136,7 +120,6 @@ let prepare t ~name ~schema source : (entry * bool, string) result =
     locked t (fun () -> Hashtbl.replace t.by_name name (source, schema));
     Ok (e, hit)
 
-(** Resolve a [PREPARE]d name (re-parsing if the hash was evicted). *)
 let find_named t name : (entry * bool, string) result =
   match locked t (fun () -> Hashtbl.find_opt t.by_name name) with
   | None -> Error (Printf.sprintf "no prepared query %S" name)

@@ -1,28 +1,14 @@
-(** The LRU result cache.
-
-    Evaluation over a frozen snapshot is deterministic, so the rendered
-    response body of a [RUN] or [EXPLAIN] is safe to replay as long as
-    the inputs are the same.  Keys therefore bind everything the result
-    depends on: the document name *and its snapshot version*, the
-    prepared query's hash, and the command kind.  Invalidation is the
-    version: re-[LOAD]ing a document bumps it, making old keys
-    unreachable, and {!purge_doc} drops them eagerly so the capacity is
-    not squatted by dead entries.
-
-    A classic intrusive doubly-linked LRU under one mutex: [find] is a
-    hash lookup + list splice, [add] evicts from the tail. *)
-
 type key = {
   doc : string;
   version : int;
   qhash : string;
-  kind : string;  (** "run" | "explain" *)
+  kind : string;
 }
 
 type node = {
   key : key;
-  value : string;  (** rendered response body *)
-  info : string;  (** rendered OK-line info *)
+  value : string;
+  info : string;
   mutable prev : node option;
   mutable next : node option;
 }
@@ -31,7 +17,7 @@ type t = {
   mutex : Mutex.t;
   capacity : int;
   table : (key, node) Hashtbl.t;
-  mutable head : node option;  (** most recently used *)
+  mutable head : node option;
   mutable tail : node option;
 }
 
@@ -87,7 +73,6 @@ let add t key ~info value =
           Hashtbl.remove t.table victim.key
       done)
 
-(** Drop every entry of [doc] (any version) — called on re-[LOAD]. *)
 let purge_doc t doc =
   locked t (fun () ->
       let victims =
@@ -100,5 +85,3 @@ let purge_doc t doc =
           unlink t n;
           Hashtbl.remove t.table n.key)
         victims)
-
-let length t = locked t (fun () -> Hashtbl.length t.table)

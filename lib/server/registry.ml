@@ -1,35 +1,9 @@
-(** The document registry: named, versioned, frozen snapshots.
-
-    [LOAD] parses the XML, encodes the data graph and builds the frozen
-    {!Gql_data.Index} *once*; the resulting snapshot is then shared
-    immutably by every worker domain — reads need no lock because
-    nothing ever mutates a published snapshot.  Re-loading a name
-    installs a fresh snapshot under a bumped [version]; the version is
-    part of every result-cache key, so cached results of the old
-    snapshot can never be served for the new one.  The index carries
-    the snapshot's {!Gql_data.Symtab} — symbol ids are snapshot-local,
-    so a re-load builds a fresh interner along with the fresh index and
-    ids must never be held across, or compared between, versions.
-
-    Publishes are keyed by a content digest: re-loading an identical
-    document (or snapshot file) under the same name is recognised
-    *before* any parse/index work, returns the existing snapshot with
-    its version unchanged, and therefore keeps every [Rcache]/[Pcache]
-    entry warm — only genuinely new content invalidates.
-
-    The only mutation a query can demand — WG-Log's deductive fixpoint —
-    never touches the snapshot: the fixpoint reads the shared graph on
-    the snapshot's own index and, at its first construction, continues
-    on a private order-preserving copy that is discarded after the
-    request ([Gql_wglog.Eval.run ~copy_on_write:true]).  A program that
-    constructs nothing never copies. *)
-
 type snapshot = {
   name : string;
   version : int;
-  key : string;  (** content digest of the underlying doc/file *)
-  db : Gql_core.Gql.db;  (** graph + document + DTD, treated read-only *)
-  index : Gql_data.Index.t;  (** frozen CSR + access paths *)
+  key : string;
+  db : Gql_core.Gql.db;
+  index : Gql_data.Index.t;
   nodes : int;
   edges : int;
 }
@@ -37,7 +11,7 @@ type snapshot = {
 type t = {
   mutex : Mutex.t;
   table : (string, snapshot) Hashtbl.t;
-  versions : (string, int) Hashtbl.t;  (** survives re-loads *)
+  versions : (string, int) Hashtbl.t;
 }
 
 let create () =
@@ -76,9 +50,6 @@ let publish ?(key = "") t name (db : Gql_core.Gql.db) : snapshot =
   | Some snap -> snap
   | None -> install t name key db (Gql_data.Index.build db.Gql_core.Gql.graph)
 
-(** Parse, encode and index an XML source under [name].  Keyed by the
-    source digest: re-loading byte-identical XML skips even the parse
-    and returns the current snapshot, version unchanged. *)
 let load_xml t ~name (xml : string) : (snapshot, string) result =
   let key = "xml-" ^ Digest.to_hex (Digest.string xml) in
   match find_keyed t name key with
@@ -88,9 +59,6 @@ let load_xml t ~name (xml : string) : (snapshot, string) result =
     | db -> Ok (publish ~key t name db)
     | exception Gql_core.Gql.Error msg -> Error msg)
 
-(** Load a snapshot file ({!Gql_data.Store}) under [name].  Keyed by the
-    file's content key, so re-loading an unchanged file bumps no
-    version; the prebuilt index is installed directly — no re-freeze. *)
 let load_snapshot t ~name (path : string) : (snapshot, string) result =
   match Gql_data.Store.file_key path with
   | exception (Gql_data.Store.Invalid_snapshot _ as e) ->
@@ -109,19 +77,8 @@ let load_snapshot t ~name (path : string) : (snapshot, string) result =
       | exception Sys_error msg -> Error msg
       | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)))
 
-(** Register an existing entity graph (databases that never were XML,
-    e.g. the WG-Log restaurant base). *)
-let add_graph t ~name (g : Gql_data.Graph.t) : snapshot =
-  publish t name (Gql_core.Gql.of_graph g)
-
 let find t name : snapshot option =
   locked t (fun () -> Hashtbl.find_opt t.table name)
 
-let names t : string list =
-  locked t (fun () ->
-      Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort compare)
-
-(** A private mutable copy of the snapshot's graph: the eager
-    reference the copy-on-write fixpoint is tested against. *)
 let fork (snap : snapshot) : Gql_data.Graph.t =
   Gql_data.Graph.copy snap.db.Gql_core.Gql.graph

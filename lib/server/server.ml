@@ -1,46 +1,9 @@
-(** The query service: frozen snapshots behind a socket.
-
-    One [t] owns the four shared structures — document {!Registry},
-    prepared-{!Qcache}, result-{!Rcache} and {!Metrics} — plus a
-    {!Pool} of worker domains.  Listeners (TCP and/or Unix-domain)
-    accept in a lightweight thread and hand each connection to the
-    pool, so up to [workers] connections evaluate in parallel over the
-    same immutable snapshots.  A WG-Log [RUN] reads its snapshot too and
-    writes only to a private copy taken at its first construction (see
-    {!Registry}).
-
-    Request handling is a pure [payload -> payload] function
-    ({!handle_payload}), which is also the in-process entry point the
-    tests and benchmarks drive without sockets.
-
-    Deadlines: a [RUN] may carry [deadline=MS] (or inherit the server
-    default), measured from the request's arrival.  A request already
-    overdue when it reaches the evaluator answers [TIMEOUT] without
-    evaluating.  Otherwise the evaluation runs under the deadline
-    ({!Gql_graph.Deadline}): the engines poll it in their loops — plan
-    operators, path searches, backtracking steps, fixpoint rounds and
-    constructions, row rendering, on every domain the request fans out
-    to — and an overdue evaluation stops within a few milliseconds,
-    answers [TIMEOUT] and frees its worker.  A cancelled evaluation
-    publishes nothing: no result-, plan- or path-memo entry, and the
-    snapshot is untouched.  A result that completes just past its
-    deadline also answers [TIMEOUT], but it is complete, so it is
-    cached and a retry usually hits. *)
-
 type config = {
-  workers : int option;  (** worker domains; default {!Pool.default_size} *)
-  result_cache : int;  (** LRU capacity; [0] disables result caching *)
-  query_cache : int;  (** prepared-query capacity *)
+  workers : int option;
+  result_cache : int;
+  query_cache : int;
   default_deadline_ms : float option;
-      (** deadline for a [RUN] that carries none; evaluation is
-          cancelled inside the engines once it passes *)
   run_domains : int option;
-      (** domains per [RUN] evaluation; [None] (the default) sizes each
-          RUN by {!Gql_graph.Par.auto_domains} — a lone request borrows
-          the capacity idle pool workers leave unused, while concurrent
-          busy workers each hold a budget unit so a client burst
-          degrades to one domain per request instead of oversubscribing
-          the machine *)
 }
 
 let default_config =
@@ -53,12 +16,9 @@ type t = {
   qcache : Qcache.t;
   rcache : Rcache.t option;
   pcache : Gql_match.Eval.prepared Pcache.t;
-      (** planned MATCH queries, keyed (doc, snapshot version, query
-          hash) — planning (estimate scans, join enumeration) runs once
-          per snapshot even when the result cache misses or is off *)
   metrics : Metrics.t;
   pool : Pool.t;
-  mutex : Mutex.t;  (** listener list *)
+  mutex : Mutex.t;
   mutable listeners : Unix.file_descr list;
 }
 
@@ -79,11 +39,8 @@ let create ?(config = default_config) () =
   }
 
 let registry t = t.registry
-let metrics t = t.metrics
 let workers t = Pool.size t.pool
 
-(** The exact [RUN] body of a WG-Log fixpoint — kept in one place so the
-    server, the CLI and the byte-identity tests cannot drift apart. *)
 let wglog_stats_line (s : Gql_wglog.Eval.stats) =
   Printf.sprintf "fixpoint reached: %d rounds, %d embeddings, +%d nodes, +%d edges\n"
     s.Gql_wglog.Eval.rounds s.embeddings_found s.nodes_added s.edges_added
@@ -332,9 +289,6 @@ let handle_request t (req : Protocol.request) ~(started : float) :
                 ok ~info:(Printf.sprintf "%s ms=%.2f" info (elapsed_ms ())) body
             end))
 
-(** The full service function: request payload in, response payload out.
-    Everything — parse errors included — becomes a framed response;
-    metrics are recorded here so in-process callers count too. *)
 let handle_payload t (payload : string) : string =
   let started = Unix.gettimeofday () in
   Metrics.incr t.metrics.Metrics.requests;
@@ -394,9 +348,6 @@ let handle_connection t (fd : Unix.file_descr) : unit =
 
 type listener = { fd : Unix.file_descr; thread : Thread.t }
 
-(** Bind, listen and accept in a background thread; each connection is
-    handled on a pool domain.  [ADDR_UNIX path] unlinks a stale socket
-    file first. *)
 let listen t (addr : Unix.sockaddr) : listener =
   let domain = Unix.domain_of_sockaddr addr in
   let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
@@ -429,8 +380,6 @@ let listen t (addr : Unix.sockaddr) : listener =
 
 let wait (l : listener) = Thread.join l.thread
 
-(** Close every listener and join the worker domains (in-flight
-    connections finish first). *)
 let stop t =
   Mutex.lock t.mutex;
   let fds = t.listeners in

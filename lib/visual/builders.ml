@@ -1,10 +1,3 @@
-(** Diagram builders: from language ASTs and data graphs to {!Diagram}s.
-
-    These produce exactly the pictures in the paper's figures: an XML-GL
-    rule as the side-by-side query/construction pair, a WG-Log rule as a
-    single graph with red and green parts, and a data graph with boxes
-    for complex nodes and circles for atoms. *)
-
 let pred_note (p : Gql_xmlgl.Ast.predicate) : string =
   let open Gql_xmlgl.Ast in
   let op_str = function
@@ -29,8 +22,6 @@ let pred_note (p : Gql_xmlgl.Ast.predicate) : string =
   in
   go p
 
-(** An XML-GL rule: query part (red) on the left layers, construction
-    part (green) appended; the classic two-pane figure. *)
 let of_xmlgl_rule ?(title = "XML-GL rule") (r : Gql_xmlgl.Ast.rule) : Diagram.t =
   let open Gql_xmlgl.Ast in
   let d = Diagram.create title in
@@ -119,8 +110,6 @@ let of_xmlgl_rule ?(title = "XML-GL rule") (r : Gql_xmlgl.Ast.rule) : Diagram.t 
     r.construction.c_nodes;
   d
 
-(** A WG-Log rule: one graph, thin red query edges, thick green
-    construction edges. *)
 let of_wglog_rule ?(title = "WG-Log rule") (r : Gql_wglog.Ast.rule) : Diagram.t =
   let open Gql_wglog.Ast in
   let d = Diagram.create title in
@@ -176,37 +165,4 @@ let of_wglog_rule ?(title = "WG-Log rule") (r : Gql_wglog.Ast.rule) : Diagram.t 
       Diagram.add_edge d ~role ~style ~thick:(e.e_role = Construct) ~label
         (Hashtbl.find map e.e_src) (Hashtbl.find map e.e_dst))
     r.edges;
-  d
-
-(** A data graph, truncated to [max_nodes] (debug pictures of databases). *)
-let of_data ?(title = "data graph") ?(max_nodes = 60) (g : Gql_data.Graph.t) :
-    Diagram.t =
-  let open Gql_data in
-  let d = Diagram.create title in
-  let n = min max_nodes (Graph.n_nodes g) in
-  let map = Hashtbl.create 32 in
-  for i = 0 to n - 1 do
-    let shape, label =
-      match Graph.kind g i with
-      | Graph.Complex l -> (Diagram.Box, l)
-      | Graph.Atom v ->
-        let s = Value.to_string v in
-        ( Diagram.Round_box,
-          if String.length s > 14 then String.sub s 0 12 ^ ".." else s )
-    in
-    Hashtbl.replace map i (Diagram.add_node d shape label)
-  done;
-  for i = 0 to n - 1 do
-    List.iter
-      (fun (dst, (e : Graph.edge)) ->
-        if dst < n then
-          let style =
-            match e.Graph.kind with
-            | Graph.Ref | Graph.Rel -> Diagram.Dashed
-            | Graph.Child | Graph.Attribute -> Diagram.Solid
-          in
-          Diagram.add_edge d ~style ~label:e.Graph.name (Hashtbl.find map i)
-            (Hashtbl.find map dst))
-      (Graph.out g i)
-  done;
   d

@@ -1,22 +1,10 @@
-(** The retained diagram model — the data structure a visual editor for
-    these languages would manipulate.
-
-    Per the reproduction plan (DESIGN.md, substitution record), the GUI
-    itself is out of scope in this environment; everything *semantic*
-    about the visual languages lives here: the shape vocabulary (boxes
-    for elements/entities, hollow circles for PCDATA, filled circles for
-    attributes, triangles for aggregation), the edge roles (thin/red =
-    query, thick/green = construction), and the line styles (dashed =
-    regular path, crossed = negation).  {!Layout} computes coordinates,
-    {!Svg} and {!Ascii} render. *)
-
 type shape =
-  | Box  (** element / entity *)
-  | Round_box  (** term label (puigsegur-style), result wrapper *)
-  | Circle_hollow  (** PCDATA circle *)
-  | Circle_filled  (** attribute dot *)
-  | Diamond  (** relationship (ER heritage) *)
-  | Triangle  (** aggregation *)
+  | Box
+  | Round_box
+  | Circle_hollow
+  | Circle_filled
+  | Diamond
+  | Triangle
 
 type role = Neutral | Query_part | Construct_part
 
@@ -27,7 +15,7 @@ type node = {
   n_shape : shape;
   n_label : string;
   n_role : role;
-  n_note : string option;  (** small annotation: multiplicity, tick, '*' *)
+  n_note : string option;
   (* Geometry, filled in by layout (units: pixels). *)
   mutable x : float;
   mutable y : float;
@@ -41,12 +29,12 @@ type edge = {
   e_label : string;
   e_role : role;
   e_style : line_style;
-  e_thick : bool;  (** construction edges are drawn thick *)
+  e_thick : bool;
 }
 
 type t = {
   title : string;
-  mutable nodes : node list;  (** reversed during building *)
+  mutable nodes : node list;
   mutable edges : edge list;
   mutable next_id : int;
 }
@@ -90,7 +78,6 @@ let node_by_id d id = List.find (fun n -> n.n_id = id) d.nodes
 let n_nodes d = d.next_id
 let n_edges d = List.length d.edges
 
-(** Bounding box of the laid-out diagram. *)
 let extent d =
   List.fold_left
     (fun (mx, my) n -> (Float.max mx (n.x +. n.w), Float.max my (n.y +. n.h)))

@@ -1,16 +1,3 @@
-(** Automatic layout: layered (Sugiyama-style) drawing.
-
-    The paper remarks that "complicated graphs could tend to be cluttered
-    with many edges"; experiment E10 quantifies this with the two layout
-    strategies implemented here:
-
-    - {!layered}: longest-path layering + iterated barycentric ordering
-      inside layers (crossing reduction) + per-layer coordinates;
-    - {!grid}: the naive baseline — nodes placed row by row in id order.
-
-    {!count_crossings} reports edge crossings of a laid-out diagram, the
-    standard clutter metric. *)
-
 let h_gap = 36.0
 let v_gap = 54.0
 let margin = 20.0
@@ -153,7 +140,6 @@ let layered (d : Diagram.t) : unit =
     place d layers
   end
 
-(** Naive baseline: fixed-width rows in id order. *)
 let grid ?(per_row = 6) (d : Diagram.t) : unit =
   List.iteri
     (fun i n ->
@@ -179,9 +165,6 @@ let segments_cross (x1, y1) (x2, y2) (x3, y3) (x4, y4) =
   ((d1 > 0.0 && d2 < 0.0) || (d1 < 0.0 && d2 > 0.0))
   && ((d3 > 0.0 && d4 < 0.0) || (d3 < 0.0 && d4 > 0.0))
 
-(** Number of pairwise edge crossings in the current geometry (edges as
-    straight centre-to-centre segments, pairs sharing an endpoint
-    skipped). *)
 let count_crossings (d : Diagram.t) : int =
   let es = Array.of_list (Diagram.edges d) in
   let node = Diagram.node_by_id d in

@@ -1,9 +1,3 @@
-(** SVG rendering of laid-out diagrams.
-
-    Colour/thickness encode the paper's conventions: query structure in
-    red thin strokes, construction structure in green thick strokes,
-    dashed lines for regular path edges, a cross mark on negated edges. *)
-
 let esc s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
@@ -133,12 +127,10 @@ let render (d : Diagram.t) : string =
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-(** Lay out (layered) and render in one go. *)
 let render_auto (d : Diagram.t) : string =
   Layout.layered d;
   render d
 
 let write_file path (d : Diagram.t) =
-  let oc = open_out path in
-  output_string oc (render_auto d);
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (render_auto d))

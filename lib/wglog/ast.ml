@@ -1,50 +1,31 @@
-(** Abstract syntax of WG-Log rules.
-
-    A WG-Log rule is *one* graph in which query and construction parts
-    are distinguished by colour/thickness ("the querying graph structure
-    is spanned through thin or red lines, while the construction
-    structure is spanned by green or thick lines ... they share the same
-    nodes, making variables obsolete").  The AST therefore tags every
-    node and edge with a {!role} instead of splitting the rule in two.
-
-    GraphLog heritage carried over: crossed-out (negated) edges, dashed
-    edges bearing a regular path expression, and the aggregation
-    triangle (here: a [Collect] construction edge). *)
-
 type role = Query | Construct
 
 type cmp_op = Eq | Neq | Lt | Le | Gt | Ge
 
-(** Conditions attachable to value nodes (GraphLog shows attribute values
-    as rectangles; comparisons against constants qualify them). *)
 type condition =
   | Cmp of cmp_op * Gql_data.Value.t
-  | Re of string  (** regular expression on the textual value *)
+  | Re of string
 
 type node_kind =
-  | Entity of string option  (** typed box; [None] = any entity (rare) *)
+  | Entity of string option
   | Value of Gql_data.Value.t option
-      (** atomic rectangle: a constant, or open (bound by matching) *)
 
 type node = {
   n_role : role;
   n_kind : node_kind;
-  n_cond : condition list;  (** all must hold *)
+  n_cond : condition list;
 }
 
 type edge_mode =
   | Plain
-  | Negated  (** crossed-out; query role only *)
+  | Negated
   | Regex of string Gql_regex.Syntax.t
-      (** dashed; matches a path whose label word is in the language *)
   | Collect
-      (** triangle; construction role only: one edge per binding of the
-          destination query node, all under a single source instance *)
 
 type edge = {
   e_src : int;
   e_dst : int;
-  e_label : string;  (** relation or slot name; unused for [Regex] *)
+  e_label : string;
   e_role : role;
   e_mode : edge_mode;
 }
@@ -135,8 +116,6 @@ let check_rule (r : rule) : error list =
   then () (* pure goal: allowed *);
   List.rev !errs
 
-(** Check a rule against a schema: entity types exist, relation labels
-    exist with compatible endpoint types, slot edges match declarations. *)
 let check_against_schema (s : Schema.t) (r : rule) : error list =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
@@ -185,10 +164,6 @@ let check_program (p : program) : error list =
   | None -> base
   | Some s -> base @ List.concat_map (check_against_schema s) p.rules
 
-(** Labels derived (green) and negated (red, crossed) by a program; a
-    program is *stratifiable within one pass* only when no derived label
-    is also negated — the classical safety condition, surfaced as a
-    warning by the engine. *)
 let stratification_warnings (p : program) : string list =
   let derived =
     List.concat_map

@@ -1,24 +1,3 @@
-(** WG-Log evaluation: embedding search plus deductive fixpoint.
-
-    Rule semantics follow G-Log: for every embedding of the red (query)
-    part in the database, the green (construction) part must exist; the
-    engine *adds* the missing nodes and edges.  Construction nodes are
-    Skolemised — keyed by (rule, node, bindings of the query nodes their
-    instance depends on) — so re-applying a rule never duplicates, which
-    both gives the deductive fixpoint its termination and implements the
-    aggregation triangle: a collecting node depends on no query binding
-    and is therefore created exactly once, with one [Collect] edge per
-    binding.
-
-    Programs iterate rules to fixpoint.  Two strategies, compared by
-    experiment E8:
-    - [`Naive]: every round matches the full graph;
-    - [`Semi_naive]: from round 2 on, each rule is re-matched once per
-      query edge with that edge restricted to the previous round's delta
-      (edges carry a generation stamp).  Rules whose query part contains
-      a regular-path edge fall back to naive matching for correctness
-      (a new edge can extend a path without being the matched edge). *)
-
 open Gql_data
 
 type stats = {
@@ -70,28 +49,21 @@ let compile_condition (c : Ast.condition) : Value.t -> bool =
 let label_matches lbl (e : Graph.edge) = e.Graph.name = lbl
 
 type neg_check = {
-  nc_anchor : int;  (** rule node id of the bound endpoint *)
-  nc_dir : [ `Out | `In ];  (** edge direction relative to the anchor *)
+  nc_anchor : int;
+  nc_dir : [ `Out | `In ];
   nc_label : string;
-  nc_spec : Ast.node;  (** what the unconstrained endpoint would match *)
+  nc_spec : Ast.node;
 }
 
 type compiled_query = {
   pattern : (Graph.node_kind, Graph.edge) Gql_graph.Homo.pattern;
-  query_ids : int array;  (** pattern position -> rule node id *)
-  node_specs : Ast.node array;  (** pattern position -> rule node *)
+  query_ids : int array;
+  node_specs : Ast.node array;
   edge_names : string option list;
-      (** aligned with [pattern.p_edges]: the WG-Log label of each
-          Direct/Negated edge ([None] for regular paths) — what the
-          index-backed provider partitions adjacency by *)
   has_regex : bool;
   n_pattern_edges : int;
   neg_checks : neg_check list;
-      (** GraphLog negation with a free endpoint: NOT EXISTS any such
-          neighbour (the crossed edge universally quantifies the
-          otherwise-unconstrained node) *)
   global_negs : (string * Ast.node * Ast.node) list;
-      (** both endpoints free: no matching edge anywhere in the graph *)
 }
 
 let node_pred (nd : Ast.node) : int -> Graph.node_kind -> bool =
@@ -219,18 +191,6 @@ let compile_query (r : Ast.rule) : compiled_query =
     global_negs = List.rev !global_negs;
   }
 
-(** Index-backed candidates and navigation for a compiled query.
-
-    Candidates: typed entity circles hit the label index, constant value
-    rectangles the (normalised) value index; untyped circles and free
-    rectangles still restrict the scan to the right node class.  Every
-    list is a sorted superset — the matcher re-applies the node
-    predicate, so conditions on rectangles stay sound.
-
-    Navigation: a labelled Direct/Negated edge checks only the edge
-    name ([label_matches]), which is exactly what [Index.nav_name]
-    partitions by, so its links test is exact; regular paths run over
-    the frozen CSR view. *)
 let provider (idx : Index.t) (cq : compiled_query) :
     (Graph.node_kind, Graph.edge) Gql_graph.Homo.provider =
   let candidates p =
@@ -329,10 +289,6 @@ let neg_checks_ok ?index (data : Graph.t) (cq : compiled_query)
              | `In -> Graph.inn data anchor))))
     cq.neg_checks
 
-(** Embeddings of the query part; each result maps rule node id -> data
-    node (non-query nodes map to -1).  [domains] parallelises the
-    embedding search (byte-identical enumeration, see {!Gql_graph.Par});
-    the negation post-filters run sequentially on the calling domain. *)
 let query_embeddings ?(pre_bound = []) ?index ?domains (data : Graph.t)
     (r : Ast.rule) (cq : compiled_query) : int array list =
   let n = Array.length r.Ast.nodes in
@@ -679,39 +635,6 @@ let stats_lines () =
   Printf.sprintf "wglog_graph_copies=%d\nwglog_index_builds=%d\n"
     (Atomic.get graph_copies) (Atomic.get index_builds)
 
-(** Run a program to fixpoint; returns statistics.
-
-    [data] is mutated in place unless [copy_on_write] is set.  Then the
-    fixpoint only reads [data] — which may be shared with concurrent
-    readers — until the first construction must write; it then takes an
-    order-preserving {!Graph.copy} (same node ids, same adjacency order,
-    so every later enumeration is unchanged) and seeds, matches and
-    constructs on the copy, which is discarded on return.  A program
-    whose green parts already exist (a pure goal, or a saturated
-    database) never copies.
-
-    [use_index] (default on) uses a frozen index for the *unseeded*
-    matching rounds (round 1, naive strategy, regex rules); seeded delta
-    completion already tracks the delta and would pay a rebuild per
-    round for nothing.  [index], when given, is trusted as an exact
-    index of [data] as passed in: round 1 and the rules whose query
-    footprint is disjoint from everything the program can construct
-    ({!stale_index_ok}) run on it instead of on a fresh build.  Other
-    unseeded rounds refresh an {!Index.cache}, so consecutive rules in a
-    round share one build; the cache's physical-equality check rebuilds
-    once the graph has grown or been copied.
-
-    [domains] parallelises the matching side of each round — the
-    unseeded searches and the completion of the previous round's delta
-    seeds.  Graph mutation ([apply_construction]), Skolem-table updates
-    and the per-rule dedup stay strictly sequential on the calling
-    domain, so generation stamps and fixpoint results are identical to
-    a sequential run.
-
-    Every round and every construction checks {!Gql_graph.Deadline}; a
-    run past its deadline raises [Deadline.Exceeded].  Under
-    [copy_on_write] that discards only the private copy; an in-place
-    run leaves [data] with the constructions made so far. *)
 let run ?(strategy = `Semi_naive) ?(use_index = true) ?(max_rounds = 1000)
     ?domains ?index ?(copy_on_write = false) (data : Graph.t)
     (p : Ast.program) : stats =
@@ -826,8 +749,6 @@ let run ?(strategy = `Semi_naive) ?(use_index = true) ?(max_rounds = 1000)
     edges_added = !total_edges;
   }
 
-(** Evaluate a goal (pure query rule): return its embeddings without
-    touching the database.  Ill-formed rules raise {!Invalid_query}. *)
 let goal ?index ?domains (data : Graph.t) (r : Ast.rule) : int array list =
   (match Ast.check_rule r with
   | [] -> ()

@@ -1,13 +1,3 @@
-(** WG-Log schemas.
-
-    Unlike XML-GL, WG-Log is *schema-aware* ("the patterns are explicitly
-    based on schemas"; "WG-Log is only applicable to schema based data").
-    A schema is itself a graph: node types (entities and the atomic slots
-    hanging off them) and edge types with the source/destination types
-    they connect and ER-style multiplicities.  Rules are checked against
-    the schema before evaluation — the static guarantees are what the
-    paper trades schema freedom for. *)
-
 type multiplicity = M_one_one | M_one_many | M_many_one | M_many_many
 
 let mult_to_string = function
@@ -18,19 +8,16 @@ let mult_to_string = function
 
 type edge_type = {
   et_name : string;
-  et_src : string;  (** source entity type *)
-  et_dst : string;  (** destination entity type, or "string"/"int"/... for slots *)
+  et_src : string;
+  et_dst : string;
   et_mult : multiplicity;
 }
 
 type t = {
   entities : string list;
   slots : (string * string * string) list;
-      (** (entity, slot name, value type) — atomic attributes *)
   edge_types : edge_type list;
 }
-
-let empty = { entities = []; slots = []; edge_types = [] }
 
 let has_entity t name = List.mem name t.entities
 
@@ -42,14 +29,8 @@ let slots_of t entity =
     (fun (e, s, ty) -> if e = entity then Some (s, ty) else None)
     t.slots
 
-(** Edge types legal between two entity types. *)
-let edges_between t ~src ~dst =
-  List.filter (fun et -> et.et_src = src && et.et_dst = dst) t.edge_types
-
 type error = string
 
-(** Check internal consistency: every edge type connects declared
-    entities; slot entities are declared. *)
 let check (t : t) : error list =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
@@ -66,9 +47,6 @@ let check (t : t) : error list =
     t.slots;
   List.rev !errs
 
-(** Enforce the ER-style multiplicities: a [1:1] relation admits at most
-    one outgoing edge per source and one incoming per destination; [1:n]
-    constrains the destination side, [n:1] the source side. *)
 let check_multiplicities (t : t) (data : Gql_data.Graph.t) : error list =
   let open Gql_data in
   let errs = ref [] in
@@ -106,10 +84,6 @@ let check_multiplicities (t : t) (data : Gql_data.Graph.t) : error list =
     t.edge_types;
   List.rev !errs
 
-(** Validate a data graph against the schema: every complex node's label
-    must be a declared entity; every Rel edge a declared edge type with
-    matching endpoint types; slot edges must match declared slots;
-    multiplicities must hold. *)
 let validate (t : t) (data : Gql_data.Graph.t) : error list =
   let open Gql_data in
   let errs = ref [] in
@@ -145,8 +119,6 @@ let validate (t : t) (data : Gql_data.Graph.t) : error list =
   done;
   List.rev !errs @ check_multiplicities t data
 
-(** The restaurant schema backing the paper's WG-Log figure: Restaurants
-    [offer] Menus; both have a [name] slot, menus have a [price]. *)
 let restaurant_schema : t =
   {
     entities = [ "Restaurant"; "Menu"; "City"; "rest-list" ];
@@ -165,11 +137,6 @@ let restaurant_schema : t =
       ];
   }
 
-(** The schema of the million-node parallel-scaling fixtures
-    ({!Gql_workload.Gen.wide_graph} / [deep_graph] / [skewed_graph]):
-    hubs own items, chain heads thread cells ([next] continues
-    cell-to-cell, traversed only through path edges, which are
-    schema-unchecked by design), groups own members. *)
 let scale_schema : t =
   {
     entities = [ "Hub"; "Item"; "Head"; "Cell"; "Group"; "Member" ];
@@ -182,8 +149,6 @@ let scale_schema : t =
       ];
   }
 
-(** The hyperdocument schema backing the GraphLog figures: documents
-    connected by [link]/[index] edges; derived [sibling] and [root]. *)
 let hyperdoc_schema : t =
   {
     entities = [ "Document" ];

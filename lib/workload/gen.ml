@@ -1,19 +1,3 @@
-(** Synthetic workload generators.
-
-    Four families, all seeded and size-parametric:
-
-    - {!bibliography}: documents over the paper's BOOK/AUTHOR DTD
-      (figure XML-GL-DTD2), with an optional defect rate for validation
-      experiments;
-    - {!greengrocer}: the supplied text's running products/vendors
-      database, including the vendor name value-join the examples use;
-    - {!people}: the PERSON/FULLADDR corpus of the aggregation figure
-      (E4), with a controllable fraction of persons lacking an address;
-    - {!hyperdocs}: GraphLog's hyperdocument link graphs (E5/E8) as a
-      data graph with [link]/[index] relations;
-    - {!random_tree}: depth/fanout-controlled trees with ID/IDREF noise
-      for scalability sweeps (E7). *)
-
 open Gql_xml.Tree
 
 let first_names =
@@ -46,9 +30,6 @@ let book_dtd_text =
 
 let book_dtd = Gql_dtd.Parse.parse_subset ~root_hint:"bib" book_dtd_text
 
-(** A bibliography with [n] books.  [defect_rate] (0.0-1.0) makes that
-    fraction of books violate the DTD in a random way (missing price,
-    misplaced title, author without last name) — used by E2. *)
 let bibliography ?(seed = 42) ?(defect_rate = 0.0) n : doc =
   let rng = Prng.create seed in
   let author () =
@@ -100,9 +81,6 @@ let vendor_names =
 
 let countries = [| "holland"; "france"; "germany"; "italy"; "spain" |]
 
-(** The running greengrocer database: [n] products, [v] vendors; product
-    [vendor] children join vendor [name]s by value, as in the Xcerpt
-    examples. *)
 let greengrocer ?(seed = 7) ?(vendors = 5) n : doc =
   let rng = Prng.create seed in
   let vendors = max 1 (min vendors (Array.length vendor_names)) in
@@ -138,9 +116,6 @@ let greengrocer ?(seed = 7) ?(vendors = 5) n : doc =
 
 (* --- people ----------------------------------------------------------- *)
 
-(** The PERSON corpus of the aggregation figure: [n] persons, a fraction
-    [with_addr] of which carry a FULLADDR.  Persons share employers so
-    join queries have real fan-in. *)
 let people ?(seed = 11) ?(with_addr = 0.7) ?(companies = 8) n : doc =
   let rng = Prng.create seed in
   let company i = Printf.sprintf "company-%d" (i mod companies) in
@@ -172,11 +147,6 @@ let people ?(seed = 11) ?(with_addr = 0.7) ?(companies = 8) n : doc =
 
 (* --- hyperdocuments ---------------------------------------------------- *)
 
-(** A hyperdocument graph in the GraphLog style: [n] Document entities;
-    ~[idx_fraction] of them are index documents pointing to [fanout]
-    children via [index] edges; the rest receive random [link] edges.
-    Returned directly as a data graph (these databases are graphs, not
-    documents). *)
 let hyperdocs ?(seed = 3) ?(fanout = 4) ?(link_factor = 2) n : Gql_data.Graph.t =
   let open Gql_data in
   let rng = Prng.create seed in
@@ -204,8 +174,6 @@ let hyperdocs ?(seed = 3) ?(fanout = 4) ?(link_factor = 2) n : Gql_data.Graph.t 
   done;
   g
 
-(** The restaurant database of the WG-Log figure: restaurants in cities,
-    a fraction of which offer menus. *)
 let restaurants ?(seed = 5) ?(menu_fraction = 0.6) n : Gql_data.Graph.t =
   let open Gql_data in
   let rng = Prng.create seed in
@@ -243,14 +211,6 @@ let restaurants ?(seed = 5) ?(menu_fraction = 0.6) n : Gql_data.Graph.t =
 
 (* --- labelled entity graphs -------------------------------------------- *)
 
-(** A flat entity graph stressing label/value selectivity: [labels]
-    distinct entity types ["L0" .. "L{labels-1}"] with [per_label]
-    instances each, every instance carrying a unique [key] attribute
-    ["k-<i>"], and [degree] random [rel] edges from each instance of
-    layer [j] into layer [j+1] (wrapping).  Scan-based matching sees
-    [labels * per_label * 2] nodes per candidate pass; indexed matching
-    sees one label bucket — this is the A/B graph of the benchmark
-    trajectory. *)
 let labelled_graph ?(seed = 17) ?(labels = 100) ?(per_label = 500)
     ?(degree = 3) () : Gql_data.Graph.t =
   let open Gql_data in
@@ -292,10 +252,6 @@ let labelled_graph ?(seed = 17) ?(labels = 100) ?(per_label = 500)
    dominate.  No atoms are attached: every node is a labelled entity,
    so node count == entity count. *)
 
-(** Wide: [hubs] "Hub" entities each owning ~[n/hubs] of the [n] "Item"
-    entities via a [rel] edge.  Matching [Hub -rel-> Item] binds a hub
-    first (small candidate set) and fans out over its members — many
-    equal-sized seeds, the friendly case for chunking. *)
 let wide_graph ?(seed = 19) ?(hubs = 1024) n : Gql_data.Graph.t =
   let open Gql_data in
   let rng = Prng.create seed in
@@ -310,10 +266,6 @@ let wide_graph ?(seed = 19) ?(hubs = 1024) n : Gql_data.Graph.t =
   done;
   g
 
-(** Deep: [chains] linked lists of "Cell" entities (heads labelled
-    "Head"), [n/chains] long, threaded by [next] edges.  Matching
-    [Head -next+-> Cell] walks one whole chain per seed — few seeds,
-    each hiding a long regular-path traversal. *)
 let deep_graph ?(seed = 23) ?(chains = 2048) n : Gql_data.Graph.t =
   let open Gql_data in
   ignore seed;
@@ -332,11 +284,6 @@ let deep_graph ?(seed = 23) ?(chains = 2048) n : Gql_data.Graph.t =
   done;
   g
 
-(** Skewed: [groups] "Group" entities whose "Member" populations follow
-    a harmonic distribution — group 0 owns ~[n/H(groups)] members,
-    group [i] a [1/(i+1)] share — connected by [member] edges.  Seed
-    costs differ by orders of magnitude, so static chunking loses and
-    the adaptive granularity + work stealing have to earn their keep. *)
 let skewed_graph ?(seed = 29) ?(groups = 512) n : Gql_data.Graph.t =
   let open Gql_data in
   let g = Graph.create () in
@@ -367,9 +314,6 @@ let skewed_graph ?(seed = 29) ?(groups = 512) n : Gql_data.Graph.t =
 
 let tag_pool = [| "a"; "b"; "c"; "d"; "e"; "item"; "entry"; "node" |]
 
-(** Random tree with approximately [n] nodes, mean [fanout], tags from a
-    small pool, and [ref_density] ID/IDREF pairs per node (revealing
-    graph structure).  Used by the scalability sweeps. *)
 let random_tree ?(seed = 13) ?(fanout = 4) ?(ref_density = 0.05) n : doc =
   let rng = Prng.create seed in
   let counter = ref 0 in
@@ -394,8 +338,3 @@ let random_tree ?(seed = 13) ?(fanout = 4) ?(ref_density = 0.05) n : doc =
     element ~attrs (Prng.pick rng tag_pool) children
   in
   doc (build n 0)
-
-(** Parse + encode helpers used by benches. *)
-let to_graph (d : doc) : Gql_data.Graph.t = fst (Gql_data.Codec.encode d)
-
-let to_xpath_index (d : doc) : Gql_xpath.Index.t = Gql_xpath.Index.build d

@@ -1,9 +1,3 @@
-(** Deterministic PRNG (splitmix64).
-
-    Benchmarks and property corpora must be reproducible across runs and
-    machines, so nothing in the workload generators touches [Random];
-    every generator takes a seed and derives its stream from it. *)
-
 type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
@@ -15,15 +9,6 @@ let next_int64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-(** Uniform int in [0, bound).
-
-    Rejection sampling over 62-bit draws: a plain [Int64.rem] of the
-    raw state is biased towards small residues whenever [bound] does
-    not divide the draw range (up to ~2^-62 per value, but measurable
-    for large bounds).  Draws in the tail [lim, 2^62) are redrawn so
-    every residue class is equally likely.  Note this consumes a
-    variable number of raw draws, so streams differ from the pre-fix
-    generator even when no rejection occurs (62- vs 63-bit window). *)
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int";
   let b = Int64.of_int bound in
@@ -43,9 +28,6 @@ let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let pick t arr = arr.(int t (Array.length arr))
 
-let pick_list t l = List.nth l (int t (List.length l))
-
-(** Shuffle a copy of the array. *)
 let shuffle t arr =
   let a = Array.copy arr in
   for i = Array.length a - 1 downto 1 do

@@ -1,23 +1,3 @@
-(** The fixed query suite.
-
-    Q1-Q9 are XML-GL programs (textual syntax, parsed at first use);
-    Q10-Q12 are the WG-Log rules of the paper's figures.  Where the
-    query is expressible navigationally, the XPath equivalent is given
-    so benches can race the engines on identical questions.
-
-    Q1/E3  all books, deep copy               (figure XML-GL-simple)
-    Q2     selection: titles of books > 40
-    Q3/E4  aggregation: persons with address  (figure XML-GL-aggregate)
-    Q4     value join: products & their vendors' countries
-    Q5     regex selection: vendors /Van.°/
-    Q6     negation: persons without address
-    Q7     deep edge: last names at any depth
-    Q8     ordered containment: title before price
-    Q9     grouping: persons per employer     (list icon)
-    Q10/E1 WG-Log: rest-list of restaurants offering menus
-    Q11/E5 WG-Log: sibling links              (figure GraphLog-simple)
-    Q12/E5 WG-Log: root links via index+      (figure GraphLog-root) *)
-
 let q1_src =
   {|xmlgl
 result books
@@ -292,10 +272,6 @@ let q9 = lazy (parse_xmlgl q9_src)
 let q10 = lazy (parse_wglog ~schema:Gql_wglog.Schema.restaurant_schema q10_src)
 let q11 = lazy (parse_wglog ~schema:Gql_wglog.Schema.hyperdoc_schema q11_src)
 let q12 = lazy (parse_wglog ~schema:Gql_wglog.Schema.hyperdoc_schema q12_src)
-let q13 = lazy (parse_wglog ~schema:Gql_wglog.Schema.scale_schema q13_src)
-let q14 = lazy (parse_wglog ~schema:Gql_wglog.Schema.scale_schema q14_src)
-let q15 = lazy (parse_wglog ~schema:Gql_wglog.Schema.scale_schema q15_src)
-
 type entry = {
   name : string;
   description : string;
@@ -370,8 +346,6 @@ RETURN m, p.value
 
 (* --- the server workload ------------------------------------------------ *)
 
-(** One request of the serving workload: run [source] against the
-    registered document [doc] (under [schema] for WG-Log sources). *)
 type server_query = {
   sq_name : string;
   doc : string;
@@ -379,10 +353,6 @@ type server_query = {
   source : string;
 }
 
-(** Every suite query that makes sense against a *served* snapshot,
-    tagged with the document name the server-side registries use
-    (documents are registered under their generator names).  Q10 is the
-    WG-Log member: it exercises the server's fork-per-request path. *)
 let server_suite : server_query list =
   [
     { sq_name = "Q1"; doc = "bibliography"; schema = None; source = q1_src };
@@ -402,11 +372,3 @@ let server_suite : server_query list =
     { sq_name = "M4"; doc = "greengrocer"; schema = None; source = m4_src };
     { sq_name = "M5"; doc = "restaurants"; schema = None; source = m5_src };
   ]
-
-(** A reproducible request stream: [n] draws from {!server_suite} under
-    [seed] — the same seed always yields the same mixed WG-Log/XML-GL
-    sequence, which is what makes load tests and E12 comparable
-    run-to-run. *)
-let server_mix ?(seed = 0) n : server_query list =
-  let rng = Prng.create (0x5e12 + seed) in
-  List.init n (fun _ -> Prng.pick_list rng server_suite)

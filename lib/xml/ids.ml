@@ -1,21 +1,7 @@
-(** ID / IDREF indexing.
-
-    The reference mechanisms of XML (ID/IDREF pairs, the supplied text's
-    section on Xcerpt notes the same) are what turn document *trees* into
-    semi-structured *graphs*.  This module builds the index used by
-    [Gql_data] when materialising the graph: a map from ID value to the
-    path of the element carrying it, and the list of (path, attribute,
-    referenced id) triples.
-
-    Which attributes are ID-typed is configurable: without a DTD the
-    common convention (attribute named [id]) applies; with a DTD, the
-    declared attribute types decide (the predicates are injected by
-    [Gql_dtd] to avoid a dependency cycle). *)
-
 type t = {
   ids : (string, Tree.path) Hashtbl.t;
-  refs : (Tree.path * string * string) list;  (** element path, attr name, target id *)
-  duplicates : string list;  (** ID values declared more than once *)
+  refs : (Tree.path * string * string) list;
+  duplicates : string list;
 }
 
 let default_is_id ~element:_ ~attr = String.lowercase_ascii attr = "id"
@@ -51,8 +37,5 @@ let build ?(is_id = default_is_id) ?(is_idref = default_is_idref) root_el =
 
 let resolve t id = Hashtbl.find_opt t.ids id
 
-(** References whose target ID is not declared anywhere. *)
 let dangling t =
   List.filter (fun (_, _, target) -> not (Hashtbl.mem t.ids target)) t.refs
-
-let all_ids t = Hashtbl.fold (fun id path acc -> (id, path) :: acc) t.ids []

@@ -1,15 +1,3 @@
-(** Hand-written XML parser.
-
-    Covers the XML 1.0 subset a semi-structured query system needs:
-    prolog and XML declaration, DOCTYPE (with the raw internal subset
-    captured for [Gql_dtd]), elements, attributes, character data, the
-    five predefined entities plus decimal/hex character references,
-    CDATA sections, comments and processing instructions.  Namespaces are
-    treated lexically (colons are legal name characters), matching the
-    paper's languages, which predate namespace-aware querying.
-
-    Errors carry 1-based line/column positions. *)
-
 type position = { line : int; col : int }
 
 exception Error of string * position
@@ -27,9 +15,6 @@ let error st msg = raise (Error (msg, current_position st))
 let make src = { src; pos = 0; line = 1; bol = 0 }
 let eof st = st.pos >= String.length st.src
 let peek st = if eof st then '\000' else st.src.[st.pos]
-
-let peek2 st =
-  if st.pos + 1 >= String.length st.src then '\000' else st.src.[st.pos + 1]
 
 let advance st =
   (if not (eof st) then
@@ -373,7 +358,6 @@ let parse_misc st =
   in
   go ()
 
-(** Parse a complete document. *)
 let parse_document (src : string) : Tree.doc =
   let st = make src in
   (* Optional XML declaration. *)
@@ -395,15 +379,6 @@ let parse_document (src : string) : Tree.doc =
   parse_misc st;
   if not (eof st) then error st "content after root element";
   { Tree.doctype; root }
-
-(** Parse a string that is a single element (fragment). *)
-let parse_fragment (src : string) : Tree.element =
-  let st = make src in
-  parse_misc st;
-  let e = parse_element st in
-  parse_misc st;
-  if not (eof st) then error st "content after fragment";
-  e
 
 let parse_document_result src =
   match parse_document src with

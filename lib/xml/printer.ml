@@ -1,10 +1,3 @@
-(** Serialisation of the document model back to XML text.
-
-    Two modes: {!to_string} emits compact markup that re-parses to an
-    equal tree (round-trip tested); {!to_string_pretty} indents
-    element-only content for human consumption, leaving mixed content
-    untouched so no significant whitespace is invented. *)
-
 let escape_text s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
@@ -69,11 +62,6 @@ and add_element buf (e : Tree.element) =
     Buffer.add_string buf "</";
     Buffer.add_string buf e.name;
     Buffer.add_char buf '>'
-
-let element_to_string e =
-  let buf = Buffer.create 256 in
-  add_element buf e;
-  Buffer.contents buf
 
 let node_to_string n =
   let buf = Buffer.create 256 in

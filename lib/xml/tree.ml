@@ -1,23 +1,12 @@
-(** The XML document model.
-
-    A deliberately small, immutable tree: elements with attribute lists and
-    mixed content, text, comments and processing instructions.  This is the
-    "document" face of semi-structured data; the graph face (with ID/IDREF
-    edges resolved) lives in [Gql_data].
-
-    Node identity is positional: a {!path} addresses a node by the child
-    indexes leading to it from the root, and document order is
-    lexicographic order on paths. *)
-
 type node =
   | Element of element
   | Text of string
   | Comment of string
-  | Pi of string * string  (** target, content *)
+  | Pi of string * string
 
 and element = {
   name : string;
-  attrs : (string * string) list;  (** in source order, names unique *)
+  attrs : (string * string) list;
   children : node list;
 }
 
@@ -25,14 +14,12 @@ type doctype = {
   dt_name : string;
   system_id : string option;
   public_id : string option;
-  internal_subset : string option;  (** raw text between [ ] if present *)
+  internal_subset : string option;
 }
 
 type doc = { doctype : doctype option; root : element }
 
 type path = int list
-(** Child indexes from the root element; [[]] is the root element itself.
-    Indexes count *all* nodes (text, comments...), not just elements. *)
 
 let element ?(attrs = []) name children = { name; attrs; children }
 let elt ?attrs name children = Element (element ?attrs name children)
@@ -45,13 +32,6 @@ let doc ?doctype root = { doctype; root }
 
 let attr e name = List.assoc_opt name e.attrs
 
-let child_elements e =
-  List.filter_map
-    (function Element e' -> Some e' | Text _ | Comment _ | Pi _ -> None)
-    e.children
-
-(** Concatenated text content of the subtree, document order (the
-    string-value of XPath). *)
 let rec text_content_el e =
   String.concat ""
     (List.map
@@ -66,18 +46,10 @@ let text_content = function
   | Text s -> s
   | Comment _ | Pi _ -> ""
 
-(** Direct text of an element (its own text children only, concatenated). *)
-let own_text e =
-  String.concat ""
-    (List.filter_map
-       (function Text s -> Some s | Element _ | Comment _ | Pi _ -> None)
-       e.children)
-
 (* ------------------------------------------------------------------ *)
 (* Traversal                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Fold over every node in document order, with its path. *)
 let fold_nodes f acc root_el =
   let rec go_el acc rev_path e =
     let acc = f acc (List.rev rev_path) (Element e) in
@@ -97,70 +69,3 @@ let fold_nodes f acc root_el =
   go_el acc [] root_el
 
 let iter_nodes f root_el = fold_nodes (fun () p n -> f p n) () root_el
-
-(** All elements of the subtree (including the root), document order. *)
-let descendant_elements root_el =
-  List.rev
-    (fold_nodes
-       (fun acc _ n -> match n with Element e -> e :: acc | _ -> acc)
-       [] root_el)
-
-(** Elements with a given name anywhere in the subtree. *)
-let find_all name root_el =
-  List.filter (fun e -> e.name = name) (descendant_elements root_el)
-
-let find_first name root_el =
-  match find_all name root_el with [] -> None | e :: _ -> Some e
-
-(** Node at [path], if any. *)
-let rec node_at (e : element) (p : path) : node option =
-  match p with
-  | [] -> Some (Element e)
-  | i :: rest -> (
-    match List.nth_opt e.children i with
-    | None -> None
-    | Some (Element e') -> node_at e' rest
-    | Some other -> if rest = [] then Some other else None)
-
-(** Document order on paths: lexicographic; a prefix precedes its
-    extensions (an element precedes its content). *)
-let compare_paths (a : path) (b : path) = compare a b
-
-let count_nodes root_el = fold_nodes (fun n _ _ -> n + 1) 0 root_el
-
-let max_depth root_el =
-  fold_nodes (fun d p _ -> max d (List.length p)) 0 root_el
-
-(* ------------------------------------------------------------------ *)
-(* Structural equality, ignoring attribute order                       *)
-(* ------------------------------------------------------------------ *)
-
-let sort_attrs attrs = List.sort (fun (a, _) (b, _) -> compare a b) attrs
-
-let rec equal_element a b =
-  a.name = b.name
-  && sort_attrs a.attrs = sort_attrs b.attrs
-  && List.length a.children = List.length b.children
-  && List.for_all2 equal_node a.children b.children
-
-and equal_node a b =
-  match a, b with
-  | Element a, Element b -> equal_element a b
-  | Text a, Text b -> a = b
-  | Comment a, Comment b -> a = b
-  | Pi (ta, ca), Pi (tb, cb) -> ta = tb && ca = cb
-  | (Element _ | Text _ | Comment _ | Pi _), _ -> false
-
-(** Equality after dropping comments/PIs and whitespace-only text — the
-    equality used when comparing query results to golden documents. *)
-let rec canonical_element e =
-  let keep = function
-    | Text s -> if String.trim s = "" then None else Some (Text s)
-    | Comment _ | Pi _ -> None
-    | Element e' -> Some (Element (canonical_element e'))
-  in
-  { e with
-    attrs = sort_attrs e.attrs;
-    children = List.filter_map keep e.children }
-
-let equal_canonical a b = equal_element (canonical_element a) (canonical_element b)

@@ -1,54 +1,20 @@
-(** The XML-GL matcher: from a query graph to the set of bindings.
-
-    Compilation to [Gql_graph.Homo]:
-    - every query node becomes a pattern node whose candidate predicate
-      combines the shape test (box -> complex node, circle -> atom) with
-      any *local* content predicate (pushed down for pruning);
-    - containment edges become direct-edge constraints, deep edges
-      become regular paths over Child edges, attribute edges match
-      [Attribute] edges by name, reference edges match [Ref]/[Rel];
-    - a content/attribute circle with several incoming edges is the
-      paper's *value join*: it is split into one pattern node per
-      incoming edge plus value-equality filters (two distinct text nodes
-      with equal values must join, identity would be too strong);
-    - [Absent] edges are removed from the positive pattern and enforced
-      as negative post-filters;
-    - ordered containment (the tick) is checked per embedding: the bound
-      children must appear in the same relative document order as the
-      pattern edges.
-
-    The result of matching is a list of environments mapping query node
-    ids to data nodes. *)
-
 open Gql_data
 
 type binding = int array
-(** [b.(q)] = data node bound to query node [q]. *)
 
-(** An element node's name test, its regex compiled once per query. *)
 type test = Name of string | Any | Re of Gql_regex.Chre.t
 
 type compiled = {
   query : Ast.query;
   tests : test option array;
-      (** query node -> its name test; [None] for content and attribute
-          circles *)
   pattern : (Graph.node_kind, Graph.edge) Gql_graph.Homo.pattern;
   qpos : int array;
-      (** query node -> pattern node, or -1 for nodes that exist only as
-          targets of [Absent] edges (they never bind) *)
-  pat_to_query : int array;  (** pattern node -> query node *)
+  pat_to_query : int array;
   value_join_groups : int list list;
-      (** pattern nodes that must agree on value *)
   absent_checks : (int * (int -> Graph.node_kind -> bool)) list;
-      (** (pattern node of src, predicate of the absent child spec) *)
   ordered_groups : (int * int list) list;
-      (** (src pattern node, dst pattern nodes in pattern order) *)
   cross_preds : (int * Predicate.compiled) list;
-      (** non-local predicates: (query node, predicate) *)
   edge_kinds : Ast.qedge_kind list;
-      (** the query-edge kind behind each element of [pattern.p_edges]
-          (same order) — what the index-backed provider navigates by *)
 }
 
 let test_of (qn : Ast.qnode) : test option =
@@ -340,7 +306,6 @@ let index_nav (idx : Index.t) (k : Ast.qedge_kind) : Gql_graph.Homo.nav option =
   | Ast.Ref_to (Some name) -> Some (Index.nav_ref_named idx name)
   | Ast.Absent -> None
 
-(** The candidate provider routing this compiled query through [idx]. *)
 let provider (idx : Index.t) (c : compiled) :
     (Graph.node_kind, Graph.edge) Gql_graph.Homo.provider =
   let navs = Array.of_list (List.map (index_nav idx) c.edge_kinds) in
@@ -348,8 +313,6 @@ let provider (idx : Index.t) (c : compiled) :
       let qid = c.pat_to_query.(p) in
       Some (index_candidates idx c.tests.(qid) c.query.Ast.q_nodes.(qid)))
 
-(** Translate a pattern-space embedding into query-node space ([-1] for
-    nodes that never bind). *)
 let to_query_binding (c : compiled) (emb : int array) : int array =
   Array.map (fun pos -> if pos >= 0 then emb.(pos) else -1) c.qpos
 
@@ -405,10 +368,6 @@ let embedding_ok (c : compiled) (data : Graph.t) (emb : int array) : bool =
       p { Predicate.data; binding } ~self)
     c.cross_preds
 
-(** All bindings of the query in the data graph; [index] routes the
-    embedding search through the frozen index instead of graph scans;
-    [domains] partitions the first pattern node's candidates over that
-    many domains (answers are byte-identical to sequential). *)
 let run ?(index : Index.t option) ?domains (data : Graph.t) (q : Ast.query) :
     binding list =
   let c = compile ?index data q in
@@ -418,6 +377,3 @@ let run ?(index : Index.t option) ?domains (data : Graph.t) (q : Ast.query) :
     ~emit:(fun emb ->
       if embedding_ok c data emb then out := to_query_binding c emb :: !out);
   List.rev !out
-
-let count ?index ?domains (data : Graph.t) (q : Ast.query) : int =
-  List.length (run ?index ?domains data q)

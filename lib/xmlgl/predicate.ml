@@ -1,20 +1,8 @@
-(** Evaluation of XML-GL content predicates against a (partial) binding.
-
-    Predicates live on content circles and attribute dots in the query
-    graph; operands may refer to the node's own value ([Self]), to other
-    query nodes' values (value joins and the arithmetic conditions of
-    QBE-style condition boxes) and to constants.
-
-    Evaluation is three-valued in spirit but collapses to [false] on
-    missing information (an unbound reference or a non-numeric operand of
-    an arithmetic expression): semi-structured data is ragged by design
-    and a failed lookup is a non-match, never a crash. *)
-
 open Gql_data
 
 type env = {
   data : Graph.t;
-  binding : int array;  (** query node id -> data node, or -1 *)
+  binding : int array;
 }
 
 let node_value env qid =
@@ -63,8 +51,6 @@ let contains_sub ~needle hay =
 
 type compiled = env -> self:Value.t option -> bool
 
-(** [compile p] builds [p]'s regexes once, like WG-Log conditions; the
-    result evaluates [p] against a binding and the node's own value. *)
 let rec compile (p : Ast.predicate) : compiled =
   let on_value a f env ~self =
     match eval_operand env ~self a with Some v -> f (Value.to_string v) | None -> false
@@ -97,18 +83,8 @@ let rec compile (p : Ast.predicate) : compiled =
     let a = compile a in
     fun env ~self -> not (a env ~self)
 
-(** One-shot evaluation; callers that test many candidates {!compile}
-    once instead. *)
-let eval env ~self p = compile p env ~self
-
-(** Does the predicate only depend on the node itself (no cross-node
-    references)?  Such predicates are pushed into candidate selection. *)
 let is_local (p : Ast.predicate) = Ast.pred_refs p = []
 
-(** A constant the node's own value must equal for [p] to hold, when one
-    is syntactically evident ([self = c], possibly under [And]).  Used to
-    narrow index candidates: any node matching [p] also satisfies the
-    returned equality, so the value index yields a sound superset. *)
 let rec equality_const (p : Ast.predicate) : Value.t option =
   match p with
   | Ast.Compare (Ast.Eq, Ast.Self, Ast.Const v)

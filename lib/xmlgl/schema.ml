@@ -1,24 +1,3 @@
-(** XML-GL as a schema language.
-
-    The paper devotes a figure to showing that an XML-GL expression can
-    state what a DTD states (figures XML-GL-DTD1/DTD2), and claims
-    *more*: XML-GL can declare unordered content, which DTDs cannot.
-    This module implements that schema reading of XML-GL graphs:
-
-    - boxes with multiplicity-labelled edges (like ER diagrams, the text
-      notes) describe element containment: [1], [?], [*] or [+];
-    - the ordered tick on a parent makes its children's relative order
-      significant — in which case the content model is a regular
-      expression checked with a Glushkov automaton, exactly the DTD
-      discipline;
-    - without the tick, content is validated by *counting* per label —
-      the beyond-DTD case the paper highlights;
-    - filled circles declare attributes (required or optional), hollow
-      circles PCDATA content.
-
-    {!of_dtd} and {!to_dtd} translate between the two formalisms where
-    the translation exists; experiment E2 measures their agreement. *)
-
 type mult = One | Opt | Star | Plus
 
 let mult_to_string = function One -> "1" | Opt -> "?" | Star -> "*" | Plus -> "+"
@@ -33,12 +12,10 @@ let mult_allows m count =
 type decl = {
   d_name : string;
   d_ordered : bool;
-  d_children : (string * mult) list;  (** element children, declaration order *)
-  d_text : mult option;  (** PCDATA circle, if drawn *)
-  d_attrs : (string * bool) list;  (** attribute name, required? *)
+  d_children : (string * mult) list;
+  d_text : mult option;
+  d_attrs : (string * bool) list;
   d_open : bool;
-      (** open interpretation: children beyond the declared ones are
-          tolerated (the schema-free spirit of the language) *)
 }
 
 type t = { root : string option; decls : decl list }
@@ -50,8 +27,6 @@ let find t name = List.find_opt (fun d -> d.d_name = name) t.decls
 (* ------------------------------------------------------------------ *)
 
 type violation = { v_element : string; v_message : string }
-
-let pp_violation v = Printf.sprintf "<%s>: %s" v.v_element v.v_message
 
 let mult_regex name m =
   let open Gql_regex.Syntax in
@@ -208,9 +183,6 @@ let rec flatten_seq (re : string Gql_regex.Syntax.t) :
          (Printf.sprintf "content model %s is not a flat sequence"
             (to_string Fun.id re)))
 
-(** Translate a DTD into an XML-GL schema graph (raises
-    {!Not_translatable} on non-flat content models — the fragment the
-    figures exercise is flat). *)
 let of_dtd (dtd : Gql_dtd.Ast.t) : t =
   let decl_of (name, cm) =
     let d_children, d_text, d_ordered =
@@ -234,9 +206,6 @@ let of_dtd (dtd : Gql_dtd.Ast.t) : t =
   in
   { root = dtd.Gql_dtd.Ast.root_hint; decls = List.map decl_of dtd.elements }
 
-(** Translate back to a DTD.  Unordered declarations have no DTD
-    equivalent (the paper's point); they raise {!Not_translatable}
-    unless [force_order] linearises them. *)
 let to_dtd ?(force_order = false) (t : t) : Gql_dtd.Ast.t =
   let elements =
     List.map
@@ -279,8 +248,6 @@ let to_dtd ?(force_order = false) (t : t) : Gql_dtd.Ast.t =
   in
   { Gql_dtd.Ast.root_hint = t.root; elements; attlists }
 
-(** The paper's BOOK/AUTHOR schema (figure XML-GL-DTD1), as a ready-made
-    value for tests and the E2 bench. *)
 let book_schema : t =
   {
     root = Some "BOOK";

@@ -1,12 +1,3 @@
-(** AST of the XPath 1.0 subset used as the navigational baseline.
-
-    The paper positions graphical languages against the navigational
-    family (XPath/XSLT/XQuery, section 2.2 of the supplied text).  To
-    benchmark "who wins where" we need a faithful competitor: this module
-    with {!Parse} and {!Eval} implements the XPath fragment that covers
-    every navigational query in the supplied text's examples (e.g.
-    [/html/body//a[contains(./text(),"Xcerpt") and starts-with(./@href,"http:")]]). *)
-
 type axis =
   | Child
   | Descendant
@@ -22,11 +13,11 @@ type axis =
   | Preceding
 
 type node_test =
-  | Name of string  (** element (or attribute) name *)
-  | Wildcard  (** [*] *)
-  | Text_test  (** [text()] *)
-  | Node_test  (** [node()] *)
-  | Comment_test  (** [comment()] *)
+  | Name of string
+  | Wildcard
+  | Text_test
+  | Node_test
+  | Comment_test
 
 type expr =
   | Path of path
@@ -40,78 +31,11 @@ and binop =
   | Or | And
   | Eq | Neq | Lt | Le | Gt | Ge
   | Add | Sub | Mul | Div | Mod
-  | Union  (** [|] on node-sets *)
+  | Union
 
 and step = { axis : axis; test : node_test; predicates : expr list }
 
 and path = {
-  absolute : bool;  (** starts at the document root *)
+  absolute : bool;
   steps : step list;
 }
-
-let axis_name = function
-  | Child -> "child"
-  | Descendant -> "descendant"
-  | Descendant_or_self -> "descendant-or-self"
-  | Self -> "self"
-  | Parent -> "parent"
-  | Ancestor -> "ancestor"
-  | Ancestor_or_self -> "ancestor-or-self"
-  | Attribute -> "attribute"
-  | Following_sibling -> "following-sibling"
-  | Preceding_sibling -> "preceding-sibling"
-  | Following -> "following"
-  | Preceding -> "preceding"
-
-let test_name = function
-  | Name s -> s
-  | Wildcard -> "*"
-  | Text_test -> "text()"
-  | Node_test -> "node()"
-  | Comment_test -> "comment()"
-
-let rec pp_expr = function
-  | Path p -> pp_path p
-  | Literal s -> Printf.sprintf "%S" s
-  | Number f ->
-    if Float.is_integer f then string_of_int (int_of_float f)
-    else string_of_float f
-  | Binop (op, a, b) ->
-    Printf.sprintf "(%s %s %s)" (pp_expr a) (pp_binop op) (pp_expr b)
-  | Neg e -> Printf.sprintf "(-%s)" (pp_expr e)
-  | Call (f, args) ->
-    Printf.sprintf "%s(%s)" f (String.concat ", " (List.map pp_expr args))
-
-and pp_binop = function
-  | Or -> "or" | And -> "and"
-  | Eq -> "=" | Neq -> "!=" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
-  | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "div" | Mod -> "mod"
-  | Union -> "|"
-
-and pp_step s =
-  let base =
-    match s.axis, s.test with
-    | Child, t -> test_name t
-    | Attribute, t -> "@" ^ test_name t
-    | Self, Node_test -> "."
-    | Parent, Node_test -> ".."
-    | a, t -> axis_name a ^ "::" ^ test_name t
-  in
-  base
-  ^ String.concat ""
-      (List.map (fun p -> "[" ^ pp_expr p ^ "]") s.predicates)
-
-and pp_path p =
-  (* [//] abbreviation is re-introduced where a descendant-or-self::node()
-     step was produced by the parser. *)
-  let rec steps = function
-    | [] -> []
-    | { axis = Descendant_or_self; test = Node_test; predicates = [] }
-      :: next :: rest -> ("//" ^ pp_step next) :: steps rest
-    | s :: rest -> ("/" ^ pp_step s) :: steps rest
-  in
-  let body = String.concat "" (steps p.steps) in
-  if p.absolute then if body = "" then "/" else body
-  else if String.length body > 0 && body.[0] = '/' then
-    String.sub body 1 (String.length body - 1)
-  else body

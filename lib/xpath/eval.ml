@@ -1,12 +1,5 @@
-(** XPath evaluator over the flattened {!Index}.
-
-    Values follow XPath 1.0: node-sets (sorted in document order —
-    which coincides with index order), numbers, strings, booleans, with
-    the standard coercions.  Position/size context is threaded for
-    predicate evaluation. *)
-
 type value =
-  | Nodeset of int list  (** sorted, duplicate-free *)
+  | Nodeset of int list
   | Num of float
   | Str of string
   | Bool of bool
@@ -393,11 +386,9 @@ and eval_call ctx f args : value =
   | "round", 1 -> Num (Float.round (num 0))
   | _ -> err "unknown function %s/%d" f (List.length args)
 
-(** Evaluate an expression with the document root as context node. *)
 let eval_expr (idx : Index.t) (e : Ast.expr) : value =
   eval { idx; node = idx.Index.root; position = 1; size = 1 } e
 
-(** Evaluate and coerce to a node list. *)
 let select (idx : Index.t) (e : Ast.expr) : int list =
   match eval_expr idx e with
   | Nodeset ns -> List.filter (fun n -> n >= 0) ns
@@ -405,6 +396,3 @@ let select (idx : Index.t) (e : Ast.expr) : int list =
 
 let select_string (idx : Index.t) (src : string) : int list =
   select idx (Parse.expr src)
-
-let eval_string (idx : Index.t) (src : string) : value =
-  eval_expr idx (Parse.expr src)

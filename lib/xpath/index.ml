@@ -1,12 +1,3 @@
-(** Flattened document index for XPath evaluation.
-
-    The tree is numbered in document order (attributes immediately after
-    their owner element, as XPath prescribes), with parent and children
-    arrays, so every axis is array navigation and node-sets are sorted
-    integer lists.  Built once per document, reused across queries —
-    this is what makes the navigational baseline a fair competitor in
-    the benchmarks. *)
-
 type node_data =
   | Elem of { name : string; attrs : (string * string) list }
   | Attr of { name : string; value : string; owner : int }
@@ -16,10 +7,10 @@ type node_data =
 
 type t = {
   data : node_data array;
-  parent : int array;  (** -1 at the root *)
-  children : int array array;  (** element/text/comment/PI children only *)
-  attr_nodes : int array array;  (** attribute node ids per node *)
-  root : int;  (** index of the root element *)
+  parent : int array;
+  children : int array array;
+  attr_nodes : int array array;
+  root : int;
 }
 
 let build (document : Gql_xml.Tree.doc) : t =
@@ -79,9 +70,6 @@ let name t i =
   | Attr { name; _ } -> Some name
   | Txt _ | Com _ | P _ -> None
 
-let is_element t i = match t.data.(i) with Elem _ -> true | _ -> false
-
-(** XPath string-value. *)
 let rec string_value t i =
   match t.data.(i) with
   | Txt s -> s
@@ -100,7 +88,6 @@ let rec string_value t i =
     ignore string_value;
     Buffer.contents buf
 
-(** Reconstruct the subtree as an XML tree (for materialising results). *)
 let rec to_tree t i : Gql_xml.Tree.node =
   match t.data.(i) with
   | Txt s -> Gql_xml.Tree.Text s

@@ -1,10 +1,3 @@
-(** Recursive-descent parser for the XPath subset (abbreviated syntax).
-
-    Precedence, low to high: or, and, equality, relational, additive,
-    multiplicative (star, div, mod), unary minus, union, path.  Paths
-    support [/], [//], [@], [.], [..], the star wildcard, [axis::test]
-    and predicates. *)
-
 exception Error of string * int
 
 type state = { src : string; mutable pos : int }
@@ -339,15 +332,9 @@ and parse_predicates st =
   in
   go []
 
-(** Parse a complete XPath expression; raises {!Error}. *)
 let expr (src : string) : Ast.expr =
   let st = { src; pos = 0 } in
   let e = parse_expr st in
   skip_space st;
   if not (eof st) then error st "trailing input";
   e
-
-let expr_result src =
-  match expr src with
-  | e -> Ok e
-  | exception Error (msg, pos) -> Error (Printf.sprintf "offset %d: %s" pos msg)

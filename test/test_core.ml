@@ -41,8 +41,10 @@ let test_xpath_agreement () =
 
 let test_xpath_value () =
   let db = Gql_core.Gql.load_xml_string xml in
-  let v = Gql_core.Gql.xpath_value db "count(//PERSON)" in
-  Alcotest.(check string) "count" "10" v
+  let idx = Lazy.force db.Gql_core.Gql.xpath_index in
+  match Gql_xpath.Eval.eval_expr idx (Gql_xpath.Parse.expr "count(//PERSON)") with
+  | Gql_xpath.Eval.Num f -> Alcotest.(check (float 0.0)) "count" 10.0 f
+  | _ -> Alcotest.fail "count() should be a number"
 
 let test_run_wglog () =
   let g = Gql_workload.Gen.restaurants ~seed:2 8 in

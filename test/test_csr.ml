@@ -9,6 +9,18 @@ open Gql_graph
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Adjacency lists read off the frozen view, in the shape of
+   [Digraph.succ]/[pred]. *)
+let csr_succ c n =
+  let acc = ref [] in
+  Csr.iter_succ (fun d l -> acc := (d, l) :: !acc) c n;
+  List.rev !acc
+
+let csr_pred c n =
+  let acc = ref [] in
+  Csr.iter_pred (fun s l -> acc := (s, l) :: !acc) c n;
+  List.rev !acc
+
 (* --- CSR freeze round-trip ------------------------------------------- *)
 
 (* A random multigraph with string payloads and labels. *)
@@ -35,8 +47,8 @@ let csr_matches_digraph g =
          Csr.payload c i = Digraph.payload g i
          && Csr.out_degree c i = Digraph.out_degree g i
          && Csr.in_degree c i = Digraph.in_degree g i
-         && Csr.succ c i = Digraph.succ g i
-         && Csr.pred c i = Digraph.pred g i)
+         && csr_succ c i = Digraph.succ g i
+         && csr_pred c i = Digraph.pred g i)
        (List.init (Digraph.n_nodes g) Fun.id)
 
 let prop_freeze_roundtrip =
@@ -57,7 +69,7 @@ let test_freeze_edgeless () =
   let c = Csr.freeze g in
   check_int "nodes" 2 (Csr.n_nodes c);
   check_int "degree" 0 (Csr.degree c 0);
-  check "has_edge" false (Csr.has_edge c 0 1)
+  check "no successors" true (csr_succ c 0 = [])
 
 let test_freeze_workload () =
   (* real data graphs, including parallel edges and attribute slots *)
@@ -65,7 +77,7 @@ let test_freeze_workload () =
     [
       (Gql_data.Graph.digraph (Gql_workload.Gen.restaurants 30));
       (Gql_data.Graph.digraph (Gql_workload.Gen.hyperdocs ~fanout:3 25));
-      (Gql_data.Graph.digraph (Gql_workload.Gen.to_graph (Gql_workload.Gen.random_tree 120)));
+      (Gql_data.Graph.digraph (fst (Gql_data.Codec.encode (Gql_workload.Gen.random_tree 120))));
     ]
   in
   List.iter
@@ -74,8 +86,8 @@ let test_freeze_workload () =
       check "counts" true
         (Csr.n_nodes c = Digraph.n_nodes g && Csr.n_edges c = Digraph.n_edges g);
       for i = 0 to Digraph.n_nodes g - 1 do
-        check "succ" true (Csr.succ c i = Digraph.succ g i);
-        check "pred" true (Csr.pred c i = Digraph.pred g i);
+        check "succ" true (csr_succ c i = Digraph.succ g i);
+        check "pred" true (csr_pred c i = Digraph.pred g i);
         check_int "degree" (Digraph.out_degree g i + Digraph.in_degree g i)
           (Csr.degree c i)
       done)
@@ -302,7 +314,7 @@ let test_cache_refresh () =
   ignore n;
   let i3 = Index.refresh c data in
   check "rebuilt after growth" true (not (i1 == i3));
-  check_int "sees the new node" (Graph.n_nodes data) (Index.n_nodes i3)
+  check_int "sees the new node" (Graph.n_nodes data) (fst i3.Index.version)
 
 (* --- interned symbol plane ------------------------------------------- *)
 

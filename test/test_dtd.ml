@@ -155,22 +155,6 @@ let test_nondeterministic_models () =
   Alcotest.(check (list string)) "book dtd clean" []
     (Gql_dtd.Validate.nondeterministic_models ok)
 
-let test_apply_defaults () =
-  let dtd =
-    Gql_dtd.Parse.parse_subset
-      "<!ELEMENT e EMPTY><!ATTLIST e a CDATA \"dflt\" b CDATA #IMPLIED f CDATA #FIXED \"x\">"
-  in
-  let doc = Gql_xml.Parser.parse_document "<e/>" in
-  let doc' = Gql_dtd.Validate.apply_defaults dtd doc in
-  check "default applied" true (Gql_xml.Tree.attr doc'.Gql_xml.Tree.root "a" = Some "dflt");
-  check "fixed applied" true (Gql_xml.Tree.attr doc'.Gql_xml.Tree.root "f" = Some "x");
-  check "implied absent" true (Gql_xml.Tree.attr doc'.Gql_xml.Tree.root "b" = None);
-  (* explicit value wins over default *)
-  let doc2 =
-    Gql_dtd.Validate.apply_defaults dtd (Gql_xml.Parser.parse_document {|<e a="mine"/>|})
-  in
-  check "explicit kept" true (Gql_xml.Tree.attr doc2.Gql_xml.Tree.root "a" = Some "mine")
-
 (* Property: generated bibliography documents are valid; defective ones
    are flagged. *)
 let prop_generated_valid =
@@ -208,7 +192,6 @@ let () =
           Alcotest.test_case "root" `Quick test_validate_root;
           Alcotest.test_case "mixed" `Quick test_mixed_validation;
           Alcotest.test_case "nondeterministic models" `Quick test_nondeterministic_models;
-          Alcotest.test_case "apply defaults" `Quick test_apply_defaults;
           QCheck_alcotest.to_alcotest prop_generated_valid;
           QCheck_alcotest.to_alcotest prop_defective_flagged;
         ] );

@@ -7,6 +7,23 @@ open Gql_graph
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Assertion helpers over the library's adjacency lists and embedding
+   search. *)
+let has_edge ?label g src dst =
+  List.exists
+    (fun (d, l) -> d = dst && match label with None -> true | Some l' -> l = l')
+    (Digraph.succ g src)
+
+let edges_between g src dst =
+  List.filter_map (fun (d, l) -> if d = dst then Some l else None) (Digraph.succ g src)
+
+let all_embeddings ?provider pat g =
+  let acc = ref [] in
+  Homo.iter_embeddings ?provider pat g ~emit:(fun e -> acc := e :: !acc);
+  List.rev !acc
+
+let count_embeddings pat g = List.length (all_embeddings pat g)
+
 (* Small labelled graph builder: nodes carry strings, edges strings. *)
 let build nodes edges =
   let g = Digraph.create ~dummy:"" in
@@ -24,23 +41,14 @@ let test_basic () =
   check_int "out 0" 2 (Digraph.out_degree g 0);
   check_int "in 2" 2 (Digraph.in_degree g 2);
   check "payload" true (Digraph.payload g 1 = "b");
-  check "has_edge" true (Digraph.has_edge g 0 1);
-  check "has_edge label" true (Digraph.has_edge ~label:"x" g 0 1);
-  check "no such label" false (Digraph.has_edge ~label:"q" g 0 1);
-  check "edges_between" true (Digraph.edges_between g 0 2 = [ "z" ])
+  check "has_edge" true (has_edge g 0 1);
+  check "has_edge label" true (has_edge ~label:"x" g 0 1);
+  check "no such label" false (has_edge ~label:"q" g 0 1);
+  check "edges_between" true (edges_between g 0 2 = [ "z" ])
 
 let test_multigraph () =
   let g = build [ "a"; "b" ] [ (0, "x", 1); (0, "y", 1) ] in
-  check_int "two parallel edges" 2 (List.length (Digraph.edges_between g 0 1))
-
-let test_map () =
-  let g = build [ "a"; "b" ] [ (0, "x", 1) ] in
-  let g2 =
-    Digraph.map ~node:(fun i p -> (i, p)) ~edge:String.uppercase_ascii
-      ~dummy:(0, "") g
-  in
-  check "mapped payload" true (Digraph.payload g2 1 = (1, "b"));
-  check "mapped label" true (Digraph.edges_between g2 0 1 = [ "X" ])
+  check_int "two parallel edges" 2 (List.length (edges_between g 0 1))
 
 (* --- algorithms --------------------------------------------------------- *)
 
@@ -48,16 +56,16 @@ let diamond =
   build [ "s"; "l"; "r"; "t" ] [ (0, "", 1); (0, "", 2); (1, "", 3); (2, "", 3) ]
 
 let test_bfs () =
-  let order = Algo.bfs diamond [ 0 ] in
+  let order = Support.bfs diamond [ 0 ] in
   check_int "visits all" 4 (List.length order);
   check "starts at source" true (List.hd order = 0);
   check "target last" true (List.nth order 3 = 3);
-  check_int "from middle" 2 (List.length (Algo.bfs diamond [ 1 ]))
+  check_int "from middle" 2 (List.length (Support.bfs diamond [ 1 ]))
 
 let test_reachable () =
-  let r = Algo.reachable diamond [ 1 ] in
-  check "1 reaches 3" true r.(3);
-  check "1 not 2" false r.(2)
+  let r = Support.bfs diamond [ 1 ] in
+  check "1 reaches 3" true (List.mem 3 r);
+  check "1 not 2" false (List.mem 2 r)
 
 let test_topo () =
   match Algo.topological_sort diamond with
@@ -86,27 +94,6 @@ let test_scc () =
   check "a with b" true (List.sort compare (find 0) = [ 0; 1 ]);
   check "c with d" true (List.sort compare (find 2) = [ 2; 3 ]);
   check "e alone" true (find 4 = [ 4 ])
-
-let test_shortest_path () =
-  let g =
-    build [ "a"; "b"; "c"; "d" ]
-      [ (0, "x", 1); (1, "x", 2); (0, "y", 3); (3, "y", 2) ]
-  in
-  (match Algo.shortest_path g ~src:0 ~dst:2 with
-  | Some p -> check_int "3 node path" 3 (List.length p)
-  | None -> Alcotest.fail "reachable");
-  check "unreachable" true (Algo.shortest_path g ~src:2 ~dst:0 = None);
-  match Algo.shortest_path ~follow:(fun l -> l = "y") g ~src:0 ~dst:2 with
-  | Some p -> check "filtered path via d" true (p = [ 0; 3; 2 ])
-  | None -> Alcotest.fail "y-path exists"
-
-let test_components () =
-  let g = build [ "a"; "b"; "c"; "d" ] [ (0, "", 1); (2, "", 3) ] in
-  let comp, n = Algo.undirected_components g in
-  check_int "two components" 2 n;
-  check "0 with 1" true (comp.(0) = comp.(1));
-  check "2 with 3" true (comp.(2) = comp.(3));
-  check "separate" true (comp.(0) <> comp.(2))
 
 let dag_gen =
   QCheck.Gen.(
@@ -286,8 +273,8 @@ let test_homo_provider_order () =
         (fun i -> match i with 0 -> nav_x | 1 -> nav_y_superset | _ -> None);
     }
   in
-  let scan = Homo.all_embeddings pat g in
-  let indexed = Homo.all_embeddings ~provider pat g in
+  let scan = all_embeddings pat g in
+  let indexed = all_embeddings ~provider pat g in
   check "non-trivial" true (List.length scan > 0);
   check "same embeddings, same order" true (scan = indexed)
 
@@ -297,9 +284,9 @@ let test_homo_basic () =
     { Homo.p_nodes = [| lbl "a"; lbl "b" |];
       p_edges = [ (0, Homo.Direct (fun _ -> true), 1) ] }
   in
-  check_int "two embeddings" 2 (Homo.count pat g);
+  check_int "two embeddings" 2 (count_embeddings pat g);
   check "exists" true (Homo.exists pat g);
-  let embs = Homo.all_embeddings pat g in
+  let embs = all_embeddings pat g in
   check "bindings correct" true
     (List.for_all
        (fun e -> Digraph.payload g e.(0) = "a" && Digraph.payload g e.(1) = "b")
@@ -311,8 +298,8 @@ let test_homo_edge_labels () =
     { Homo.p_nodes = [| any; any |];
       p_edges = [ (0, Homo.Direct (fun e -> e = l), 1) ] }
   in
-  check_int "x edge" 1 (Homo.count (pat "x") g);
-  check_int "z edge" 0 (Homo.count (pat "z") g)
+  check_int "x edge" 1 (count_embeddings (pat "x") g);
+  check_int "z edge" 0 (count_embeddings (pat "z") g)
 
 let test_homo_shared_node_join () =
   let g = build [ "p"; "p"; "c"; "c" ] [ (0, "", 2); (1, "", 2); (1, "", 3) ] in
@@ -321,7 +308,7 @@ let test_homo_shared_node_join () =
       p_edges =
         [ (0, Homo.Direct (fun _ -> true), 2); (1, Homo.Direct (fun _ -> true), 2) ] }
   in
-  let embs = Homo.all_embeddings pat g in
+  let embs = all_embeddings pat g in
   (* homomorphisms (not injective): (0,1,2) (1,0,2) (0,0,2) (1,1,2) (1,1,3) *)
   check_int "identity join embeddings" 5 (List.length embs)
 
@@ -332,7 +319,7 @@ let test_homo_negated () =
       p_edges = [ (0, Homo.Negated (fun _ -> true), 1) ] }
   in
   (* pairs without an edge: (0,3) and (2,3) *)
-  check_int "negated pairs" 2 (Homo.count pat g)
+  check_int "negated pairs" 2 (count_embeddings pat g)
 
 let test_homo_path_edge () =
   let g = build [ "a"; "m"; "b" ] [ (0, "x", 1); (1, "x", 2) ] in
@@ -340,17 +327,17 @@ let test_homo_path_edge () =
   let pat =
     { Homo.p_nodes = [| lbl "a"; lbl "b" |]; p_edges = [ (0, Homo.Path rp, 1) ] }
   in
-  check_int "path a=>b" 1 (Homo.count pat g)
+  check_int "path a=>b" 1 (count_embeddings pat g)
 
 let test_homo_empty_pattern () =
   let g = build [ "a" ] [] in
   let pat = { Homo.p_nodes = [||]; p_edges = [] } in
-  check_int "empty pattern one empty embedding" 1 (Homo.count pat g)
+  check_int "empty pattern one empty embedding" 1 (count_embeddings pat g)
 
 let test_homo_no_candidates () =
   let g = build [ "a" ] [] in
   let pat = { Homo.p_nodes = [| lbl "zz" |]; p_edges = [] } in
-  check_int "no candidates" 0 (Homo.count pat g)
+  check_int "no candidates" 0 (count_embeddings pat g)
 
 let prop_homo_sound =
   QCheck.Test.make ~name:"homo embeddings satisfy constraints" ~count:150
@@ -364,7 +351,7 @@ let prop_homo_sound =
       List.for_all
         (fun emb ->
           List.exists (fun (d, l) -> d = emb.(1) && l = "x") (Digraph.succ g emb.(0)))
-        (Homo.all_embeddings pat g))
+        (all_embeddings pat g))
 
 let prop_homo_complete =
   QCheck.Test.make ~name:"homo finds every x-edge" ~count:150
@@ -382,7 +369,7 @@ let prop_homo_complete =
                 (fun (a, l, b) -> if l = "x" then Some (a, b) else None)
                 edges))
       in
-      Homo.count pat g = expected)
+      count_embeddings pat g = expected)
 
 let () =
   Alcotest.run "gql_graph"
@@ -391,7 +378,6 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_basic;
           Alcotest.test_case "multigraph" `Quick test_multigraph;
-          Alcotest.test_case "map" `Quick test_map;
         ] );
       ( "algo",
         [
@@ -400,8 +386,6 @@ let () =
           Alcotest.test_case "topo" `Quick test_topo;
           Alcotest.test_case "topo cycle" `Quick test_topo_cycle;
           Alcotest.test_case "scc" `Quick test_scc;
-          Alcotest.test_case "shortest path" `Quick test_shortest_path;
-          Alcotest.test_case "components" `Quick test_components;
           QCheck_alcotest.to_alcotest prop_topo_on_dags;
           QCheck_alcotest.to_alcotest prop_scc_partition;
         ] );

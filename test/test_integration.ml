@@ -80,7 +80,7 @@ let test_golden_q3 () =
   let expected =
     "<RESULT><PERSON><firstname>Ada</firstname><lastname>L</lastname></PERSON></RESULT>"
   in
-  Alcotest.(check string) "golden" expected (Gql_xml.Printer.element_to_string out)
+  Alcotest.(check string) "golden" expected (Gql_xml.Printer.node_to_string (Gql_xml.Tree.Element out))
 
 let test_golden_q10 () =
   (* fixed restaurant base: 2 restaurants, one offering *)
@@ -161,6 +161,22 @@ end
       let a = List.sort compare (List.map Array.to_list (Gql_algebra.Exec.run_xmlgl db.Gql_core.Gql.graph q)) in
       m = a)
 
+(* A read that raises must still close its channel: loading a directory
+   fails with [Sys_error] after the open, 100 times, and the process's
+   open descriptors must not grow. *)
+let test_load_closes_on_error () =
+  let fd_dir = "/proc/self/fd" in
+  if Sys.file_exists fd_dir then begin
+    let open_fds () = Array.length (Sys.readdir fd_dir) in
+    let before = open_fds () in
+    for _ = 1 to 100 do
+      match Gql_core.Gql.load_xml_file Filename.current_dir_name with
+      | _ -> Alcotest.fail "loading a directory should fail"
+      | exception Sys_error _ -> ()
+    done;
+    check_int "open descriptors" before (open_fds ())
+  end
+
 let () =
   Alcotest.run "integration"
     [
@@ -182,4 +198,7 @@ let () =
           Alcotest.test_case "visual pipeline" `Quick test_visual_pipeline;
           QCheck_alcotest.to_alcotest prop_full_pipeline;
         ] );
+      ( "descriptors",
+        [ Alcotest.test_case "load_xml_file closes on error" `Quick
+            test_load_closes_on_error ] );
     ]

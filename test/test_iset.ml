@@ -17,13 +17,13 @@ let test_build () =
   check_list "empty" [] (l Iset.empty);
   check_int "empty length" 0 (Iset.length Iset.empty);
   check "empty is_empty" true (Iset.is_empty Iset.empty);
-  check_list "singleton" [ 7 ] (l (Iset.singleton 7));
+  check_list "one element" [ 7 ] (l (Iset.of_list [ 7 ]));
   check_list "of_list sorts" [ 1; 2; 9 ] (l (Iset.of_list [ 9; 1; 2 ]));
   check_list "of_list dedups" [ 1; 2 ] (l (Iset.of_list [ 2; 1; 2; 1; 1 ]));
-  check_list "of_array dedups sorted input" [ 3; 4 ]
-    (l (Iset.of_array [| 3; 3; 4 |]));
+  check_list "of_list dedups sorted input" [ 3; 4 ]
+    (l (Iset.of_list [ 3; 3; 4 ]));
   check_list "already strict input kept" [ 1; 5; 8 ]
-    (l (Iset.of_array [| 1; 5; 8 |]));
+    (l (Iset.of_list [ 1; 5; 8 ]));
   check_int "get" 5 (Iset.get (Iset.of_list [ 9; 5; 1 ]) 1);
   check "mem yes" true (Iset.mem (Iset.of_list [ 1; 5; 9 ]) 5);
   check "mem no" false (Iset.mem (Iset.of_list [ 1; 5; 9 ]) 4);
@@ -48,8 +48,8 @@ let test_inter_edge_cases () =
   check_list "contained" [ 2; 3 ]
     (l (Iset.inter s123 (Iset.of_list [ 2; 3; 9 ])));
   check_list "identical" [ 1; 2; 3 ] (l (Iset.inter s123 s123));
-  check_list "singleton hit" [ 2 ] (l (Iset.inter (Iset.singleton 2) s123));
-  check_list "singleton miss" [] (l (Iset.inter (Iset.singleton 9) s123))
+  check_list "singleton hit" [ 2 ] (l (Iset.inter (Iset.of_list [ 2 ]) s123));
+  check_list "singleton miss" [] (l (Iset.inter (Iset.of_list [ 9 ]) s123))
 
 (* Linear and galloping intersection must agree everywhere, in
    particular around the [gallop_factor] crossover where [inter] flips

@@ -144,9 +144,7 @@ let test_parse_errors () =
   check "unbalanced paren" true (bad "(ab");
   check "unbalanced close" true (bad "ab)");
   check "unterminated class" true (bad "[abc");
-  check "dangling escape" true (bad "ab\\");
-  check "compile_opt none" true (Chre.compile_opt "(" = None);
-  check "compile_opt some" true (Chre.compile_opt "a" <> None)
+  check "dangling escape" true (bad "ab\\")
 
 (* Property: the automaton agrees with the Brzozowski-derivative
    reference on random patterns and subjects. *)
@@ -185,7 +183,7 @@ let prop_nullable_matches_empty =
     (QCheck.make pattern_gen)
     (fun pat ->
       let t = Chre.compile pat in
-      Chre.matches t "" = Syntax.nullable (Chre.ast t))
+      Chre.matches t "" = Syntax.nullable (t.Chre.ast))
 
 (* Search finds a match anywhere: the reference tries every substring. *)
 let search_reference t subject =
@@ -241,10 +239,10 @@ let prop_long_patterns =
     (fun (pat, subject) ->
       let t = Chre.compile pat in
       let dot_star = Syntax.star (Syntax.sym Chre.Any) in
-      List.length (Syntax.symbols (Chre.ast t)) > 62
-      && Chre.matches t subject = derives_aci (Chre.ast t) subject
+      List.length (Syntax.symbols (t.Chre.ast)) > 62
+      && Chre.matches t subject = derives_aci (t.Chre.ast) subject
       && Chre.search t subject
-         = derives_aci Syntax.(seq dot_star (seq (Chre.ast t) dot_star)) subject)
+         = derives_aci Syntax.(seq dot_star (seq (t.Chre.ast) dot_star)) subject)
 
 (* A run allocates its two scratch bitsets up front and nothing per
    byte: the minor words of a search are the same at 1 kB and 10 kB. *)
@@ -294,12 +292,6 @@ let test_glushkov_deterministic () =
   (* a(b|c) is fine *)
   let fine = Syntax.(seq (sym "a") (alt (sym "b") (sym "c"))) in
   check "factored fine" true (Glushkov.deterministic (Glushkov.build fine))
-
-let test_glushkov_expected_first () =
-  let auto = Glushkov.build book_model in
-  Alcotest.(check (list string))
-    "first symbols" [ "title"; "price" ]
-    (Glushkov.expected_first auto)
 
 (* Property: Glushkov acceptance agrees with the derivative of the
    expression by the word. *)
@@ -360,7 +352,6 @@ let () =
           Alcotest.test_case "accepts" `Quick test_glushkov_accepts;
           Alcotest.test_case "nullable" `Quick test_glushkov_nullable;
           Alcotest.test_case "deterministic" `Quick test_glushkov_deterministic;
-          Alcotest.test_case "expected first" `Quick test_glushkov_expected_first;
         ] );
       ( "properties",
         [

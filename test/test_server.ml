@@ -28,6 +28,17 @@ let doc_of = function
 
 let restaurant_graph () = Gql_workload.Gen.restaurants ~seed:84 50
 
+(* Register an entity graph that never was XML (the WG-Log restaurant
+   base) straight from memory, unkeyed. *)
+let add_graph reg ~name g =
+  Registry.install reg name "" (Gql_core.Gql.of_graph g) (Gql_data.Index.build g)
+
+(* A seeded request stream drawn uniformly from the served suite. *)
+let server_mix ~seed n : Gql_workload.Queries.server_query list =
+  let rng = Gql_workload.Prng.create (0x5e12 + seed) in
+  let suite = Array.of_list Gql_workload.Queries.server_suite in
+  List.init n (fun _ -> Gql_workload.Prng.pick rng suite)
+
 let new_server ?(workers = 4) ?(result_cache = 256) ?default_deadline_ms () =
   let config =
     {
@@ -48,7 +59,7 @@ let new_server ?(workers = 4) ?(result_cache = 256) ?default_deadline_ms () =
       | Ok _ -> ()
       | Error m -> failwith m)
     [ "bibliography"; "people"; "greengrocer" ];
-  ignore (Registry.add_graph reg ~name:"restaurants" (restaurant_graph ()));
+  ignore (add_graph reg ~name:"restaurants" (restaurant_graph ()));
   server
 
 (** What direct evaluation says for one suite query — computed fresh
@@ -143,7 +154,7 @@ let test_rcache_lru () =
   check_bool "b evicted" true (Rcache.find c (key "d" 1 "b") = None);
   check_bool "c present" true (Rcache.find c (key "d" 1 "c") <> None);
   Rcache.purge_doc c "d";
-  check_int "purge empties the doc" 0 (Rcache.length c)
+  check_int "purge empties the doc" 0 (Mutex.protect c.Rcache.mutex (fun () -> Hashtbl.length c.Rcache.table))
 
 let test_rcache_version_isolation () =
   let c = Rcache.create ~capacity:8 () in
@@ -512,7 +523,7 @@ let test_concurrent_determinism () =
       let failures = ref [] in
       let mu = Mutex.create () in
       let client_thread k () =
-        let mix = Gql_workload.Queries.server_mix ~seed:(100 + k) per_thread in
+        let mix = server_mix ~seed:(100 + k) per_thread in
         let c = Client.connect_unix path in
         Fun.protect
           ~finally:(fun () -> Client.close c)
@@ -575,7 +586,7 @@ let probe_of = function
 let add_wglog_fixtures server =
   let reg = Server.registry server in
   List.iter
-    (fun (name, g) -> ignore (Registry.add_graph reg ~name g))
+    (fun (name, g) -> ignore (add_graph reg ~name g))
     [ ("hyperdocs", Gql_workload.Gen.hyperdocs ~seed:85 300);
       ("wide", Gql_workload.Gen.wide_graph ~hubs:16 2000);
       ("deep", Gql_workload.Gen.deep_graph ~chains:32 2000);
@@ -724,7 +735,7 @@ type heavy = {
 
 let graph_fixture name make =
   let g = lazy (make ()) in
-  fun reg -> ignore (Registry.add_graph reg ~name (Lazy.force g))
+  fun reg -> ignore (add_graph reg ~name (Lazy.force g))
 
 let xml_fixture name make =
   let xml = lazy (Gql_xml.Printer.to_string (make ())) in
@@ -845,7 +856,7 @@ let test_cancel_frees_worker () =
   (* no result cache: the heavy RUN evaluates every time *)
   let server = heavy_server ~result_cache:0 h in
   ignore
-    (Registry.add_graph (Server.registry server) ~name:"small"
+    (add_graph (Server.registry server) ~name:"small"
        (Gql_workload.Gen.deep_graph ~chains:4 40));
   let unbounded_ms = snd (timed (fun () -> heavy_run server h)) in
   let path =

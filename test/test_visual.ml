@@ -195,13 +195,6 @@ let test_builder_wglog () =
   check "regex edge dashed" true (has "stroke-dasharray" svg);
   check "thick green derive" true (has "2.6" svg)
 
-let test_builder_data () =
-  let g = fst (Gql_data.Codec.encode (Gql_workload.Gen.greengrocer 3)) in
-  let d = Builders.of_data ~max_nodes:30 g in
-  check "truncated" true (Diagram.n_nodes d <= 30);
-  let ascii = Ascii.render_auto d in
-  check "has product box" true (has "\\[product\\]" ascii)
-
 let test_crossing_metric_positive () =
   (* two explicitly crossing segments *)
   let d = Diagram.create "x" in
@@ -244,6 +237,5 @@ let () =
         [
           Alcotest.test_case "xmlgl shapes" `Quick test_builder_xmlgl_shapes;
           Alcotest.test_case "wglog" `Quick test_builder_wglog;
-          Alcotest.test_case "data graph" `Quick test_builder_data;
         ] );
     ]

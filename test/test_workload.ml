@@ -70,7 +70,7 @@ let test_prng_shuffle () =
 let test_bibliography_shape () =
   let d = Gql_workload.Gen.bibliography ~seed:1 12 in
   check_int "twelve books" 12
-    (List.length (Gql_xml.Tree.find_all "BOOK" d.Gql_xml.Tree.root));
+    (List.length (Support.find_all "BOOK" d.Gql_xml.Tree.root));
   check "valid against dtd" true
     (Gql_dtd.Validate.is_valid Gql_workload.Gen.book_dtd d)
 
@@ -78,34 +78,34 @@ let test_generator_determinism () =
   let a = Gql_workload.Gen.bibliography ~seed:5 10 in
   let b = Gql_workload.Gen.bibliography ~seed:5 10 in
   check "same seed, same doc" true
-    (Gql_xml.Tree.equal_element a.Gql_xml.Tree.root b.Gql_xml.Tree.root);
+    (Support.equal_element a.Gql_xml.Tree.root b.Gql_xml.Tree.root);
   let c = Gql_workload.Gen.bibliography ~seed:6 10 in
   check "different seed" false
-    (Gql_xml.Tree.equal_element a.Gql_xml.Tree.root c.Gql_xml.Tree.root)
+    (Support.equal_element a.Gql_xml.Tree.root c.Gql_xml.Tree.root)
 
 let test_greengrocer_shape () =
   let d = Gql_workload.Gen.greengrocer ~seed:1 ~vendors:4 30 in
   let root = d.Gql_xml.Tree.root in
-  check_int "products" 30 (List.length (Gql_xml.Tree.find_all "product" root));
+  check_int "products" 30 (List.length (Support.find_all "product" root));
   (* product/vendor text values always reference a declared vendor name *)
   let vendor_names =
-    Gql_xml.Tree.find_all "vendors" root
-    |> List.concat_map (Gql_xml.Tree.find_all "name")
+    Support.find_all "vendors" root
+    |> List.concat_map (Support.find_all "name")
     |> List.map Gql_xml.Tree.text_content_el
   in
   let used =
-    Gql_xml.Tree.find_all "products" root
-    |> List.concat_map (Gql_xml.Tree.find_all "vendor")
+    Support.find_all "products" root
+    |> List.concat_map (Support.find_all "vendor")
     |> List.map Gql_xml.Tree.text_content_el
   in
   check "joins resolvable" true (List.for_all (fun v -> List.mem v vendor_names) used)
 
 let test_people_shape () =
   let d = Gql_workload.Gen.people ~seed:1 ~with_addr:0.5 40 in
-  let persons = Gql_xml.Tree.find_all "PERSON" d.Gql_xml.Tree.root in
+  let persons = Support.find_all "PERSON" d.Gql_xml.Tree.root in
   check_int "persons" 40 (List.length persons);
   let with_addr =
-    List.length (List.filter (fun p -> Gql_xml.Tree.find_first "FULLADDR" p <> None) persons)
+    List.length (List.filter (fun p -> Support.find_first "FULLADDR" p <> None) persons)
   in
   check "roughly half have addresses" true (with_addr > 8 && with_addr < 32)
 
@@ -140,7 +140,7 @@ let test_restaurants_shape () =
 
 let test_random_tree_size () =
   let d = Gql_workload.Gen.random_tree ~seed:2 200 in
-  let n = Gql_xml.Tree.count_nodes d.Gql_xml.Tree.root in
+  let n = Support.count_nodes d.Gql_xml.Tree.root in
   check "about the requested size" true (n > 100 && n < 500)
 
 (* --- query suite --------------------------------------------------------------- *)

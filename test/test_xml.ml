@@ -19,7 +19,7 @@ let test_minimal () =
 
 let test_nesting () =
   let e = root "<a><b><c>deep</c></b><d/></a>" in
-  check_int "two children" 2 (List.length (Tree.child_elements e));
+  check_int "two children" 2 (List.length (Support.child_elements e));
   check_str "text content" "deep" (Tree.text_content_el e)
 
 let test_attributes () =
@@ -54,7 +54,7 @@ let test_comments_pis () =
     check_str "comment" " note " c;
     check_str "pi target" "php" t
   | _ -> Alcotest.fail "unexpected shape");
-  check_int "one element child" 1 (List.length (Tree.child_elements e))
+  check_int "one element child" 1 (List.length (Support.child_elements e))
 
 let test_xml_decl_prolog () =
   let d = parse "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<!-- c -->\n<a/>" in
@@ -78,7 +78,7 @@ let test_mixed_content () =
   let e = root "<p>hello <b>world</b>!</p>" in
   check_int "three nodes" 3 (List.length e.Tree.children);
   check_str "string value" "hello world!" (Tree.text_content_el e);
-  check_str "own text" "hello !" (Tree.own_text e)
+  check_str "own text" "hello !" (Support.own_text e)
 
 let test_errors () =
   let bad s =
@@ -102,14 +102,14 @@ let test_error_position () =
   | exception Parser.Error (_, pos) -> check_int "line" 2 pos.Parser.line
 
 let test_fragment () =
-  let e = Parser.parse_fragment "<x><y/></x>" in
+  let e = (Parser.parse_document "<x><y/></x>").Tree.root in
   check_str "fragment root" "x" e.Tree.name
 
 (* --- printer ---------------------------------------------------------- *)
 
 let test_print_escapes () =
   let e = Tree.element ~attrs:[ ("q", "a\"b") ] "t" [ Tree.text "a<b&c" ] in
-  let s = Printer.element_to_string e in
+  let s = Printer.node_to_string (Tree.Element e) in
   check "escaped text" true (s = {|<t q="a&quot;b">a&lt;b&amp;c</t>|})
 
 let test_print_parse_roundtrip () =
@@ -117,14 +117,14 @@ let test_print_parse_roundtrip () =
   let d = parse src in
   let printed = Printer.to_string d in
   let d2 = parse printed in
-  check "round trip equal" true (Tree.equal_element d.Tree.root d2.Tree.root)
+  check "round trip equal" true (Support.equal_element d.Tree.root d2.Tree.root)
 
 let test_pretty_no_mixed_damage () =
   (* pretty printing must not invent whitespace inside mixed content *)
   let d = parse "<a><p>hello <b>world</b></p></a>" in
   let pretty = Printer.to_string_pretty d in
   let d2 = parse pretty in
-  match Tree.find_first "p" d2.Tree.root with
+  match Support.find_first "p" d2.Tree.root with
   | Some p -> check_str "mixed preserved" "hello world" (Tree.text_content_el p)
   | None -> Alcotest.fail "p lost"
 
@@ -171,9 +171,9 @@ let prop_print_parse_roundtrip =
   QCheck.Test.make ~name:"print then parse is identity" ~count:300
     (QCheck.make tree_gen)
     (fun e ->
-      let printed = Printer.element_to_string e in
-      let reparsed = Parser.parse_fragment printed in
-      Tree.equal_element e reparsed)
+      let printed = Printer.node_to_string (Tree.Element e) in
+      let reparsed = (Parser.parse_document printed).Tree.root in
+      Support.equal_element e reparsed)
 
 (* Robustness: arbitrary bytes either parse or raise Parser.Error —
    never crash, never loop. *)
@@ -207,10 +207,10 @@ let sample =
     {|<bib><BOOK isbn="1"><title>T1</title><price>10</price></BOOK><BOOK isbn="2"><price>99</price></BOOK></bib>|}
 
 let test_find_all () =
-  check_int "books" 2 (List.length (Tree.find_all "BOOK" sample));
-  check_int "titles" 1 (List.length (Tree.find_all "title" sample));
+  check_int "books" 2 (List.length (Support.find_all "BOOK" sample));
+  check_int "titles" 1 (List.length (Support.find_all "title" sample));
   check "find_first" true
-    (match Tree.find_first "price" sample with
+    (match Support.find_first "price" sample with
     | Some e -> Tree.text_content_el e = "10"
     | None -> false)
 
@@ -220,25 +220,31 @@ let test_paths () =
   let paths = List.rev !paths in
   check "root path" true (List.hd paths = []);
   List.iter
-    (fun p -> check "node_at defined" true (Tree.node_at sample p <> None))
+    (fun p -> check "node_at defined" true (Support.node_at sample p <> None))
     paths;
-  check "missing path" true (Tree.node_at sample [ 9; 9 ] = None);
-  check_int "count" (Tree.count_nodes sample) (List.length paths)
+  check "missing path" true (Support.node_at sample [ 9; 9 ] = None);
+  check_int "count" (Support.count_nodes sample) (List.length paths)
 
+(* Document order is lexicographic order on paths: a prefix precedes its
+   extensions (an element precedes its content), siblings go left to
+   right. *)
 let test_document_order () =
-  check "prefix before extension" true (Tree.compare_paths [ 0 ] [ 0; 1 ] < 0);
-  check "sibling order" true (Tree.compare_paths [ 0; 1 ] [ 0; 2 ] < 0);
-  check "equal" true (Tree.compare_paths [ 1; 2 ] [ 1; 2 ] = 0)
+  let paths = ref [] in
+  Tree.iter_nodes (fun p _ -> paths := p :: !paths) sample;
+  let paths = List.rev !paths in
+  check "visited in lexicographic order" true (List.sort compare paths = paths);
+  check "prefix before extension" true
+    (List.filteri (fun i _ -> i < 2) paths = [ []; [ 0 ] ])
 
 let test_canonical_equal () =
   let a = root "<a x=\"1\" y=\"2\"><b/>  </a>" in
   let b = root "<a y=\"2\" x=\"1\"><!-- c --><b/></a>" in
-  check "canonically equal" true (Tree.equal_canonical a b);
+  check "canonically equal" true (Support.equal_canonical a b);
   let c = root "<a y=\"2\" x=\"1\"><b/>text</a>" in
-  check "text significant" false (Tree.equal_canonical a c)
+  check "text significant" false (Support.equal_canonical a c)
 
 let test_depth () =
-  check_int "depth" 3 (Tree.max_depth (root "<a><b><c><d/></c></b></a>"))
+  check_int "depth" 3 (Support.max_depth (root "<a><b><c><d/></c></b></a>"))
 
 (* --- ids --------------------------------------------------------------- *)
 
@@ -250,7 +256,7 @@ let test_ids_index () =
   let idx = Ids.build id_doc in
   check "resolve n1" true (Ids.resolve idx "n1" <> None);
   check "resolve missing" true (Ids.resolve idx "nope" = None);
-  check_int "ids" 3 (List.length (Ids.all_ids idx));
+  check_int "ids" 3 (Hashtbl.length idx.Ids.ids);
   check_int "refs (incl idrefs list)" 4 (List.length idx.Ids.refs);
   check_int "dangling" 1 (List.length (Ids.dangling idx))
 

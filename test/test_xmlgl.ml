@@ -8,7 +8,9 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-let load s = Gql_data.Codec.encode_string s
+let load s = Support.encode_string s
+
+let count ?index data q = List.length (Matching.run ?index data q)
 
 let people =
   load
@@ -29,20 +31,20 @@ let test_select_by_name () =
   let b = Ast.Build.create () in
   let _ = Ast.Build.q_elem b "PERSON" in
   let r = { (Ast.Build.finish b) with Ast.construction = { Ast.c_nodes = [||]; c_edges = []; c_roots = [] } } in
-  check_int "three persons" 3 (Matching.count people r.Ast.query)
+  check_int "three persons" 3 (count people r.Ast.query)
 
 let test_select_wildcard () =
   let b = Ast.Build.create () in
   let _ = Ast.Build.q_any b () in
   let q = (Ast.Build.finish b).Ast.query in
   (* every complex node: people + 3 persons + 3x4 leaves + 2 addr + 2 city *)
-  check "many elements" true (Matching.count people q > 10)
+  check "many elements" true (count people q > 10)
 
 let test_select_name_regex () =
   let b = Ast.Build.create () in
   let _ = Ast.Build.qnode b (Ast.Q_elem (Ast.Name_re "F.*")) in
   let q = (Ast.Build.finish b).Ast.query in
-  check_int "FULLADDR twice" 2 (Matching.count people q)
+  check_int "FULLADDR twice" 2 (count people q)
 
 let test_containment_edge () =
   let b = Ast.Build.create () in
@@ -50,7 +52,7 @@ let test_containment_edge () =
   let a = Ast.Build.q_elem b "FULLADDR" in
   Ast.Build.qedge b p a;
   check_int "two persons with address" 2
-    (Matching.count people (Ast.Build.finish b).Ast.query)
+    (count people (Ast.Build.finish b).Ast.query)
 
 let test_content_predicate () =
   let b = Ast.Build.create () in
@@ -61,7 +63,7 @@ let test_content_predicate () =
       ()
   in
   Ast.Build.qedge b p c;
-  check_int "ages over 20" 2 (Matching.count people (Ast.Build.finish b).Ast.query)
+  check_int "ages over 20" 2 (count people (Ast.Build.finish b).Ast.query)
 
 let test_attr_edge () =
   let b = Ast.Build.create () in
@@ -72,20 +74,20 @@ let test_attr_edge () =
       ()
   in
   Ast.Build.qattr b p "id" a;
-  check_int "person p2" 1 (Matching.count people (Ast.Build.finish b).Ast.query)
+  check_int "person p2" 1 (count people (Ast.Build.finish b).Ast.query)
 
 let test_deep_edge () =
   let b = Ast.Build.create () in
   let root = Ast.Build.q_elem b "people" in
   let city = Ast.Build.q_elem b "city" in
   Ast.Build.qdeep b root city;
-  check_int "cities at depth" 2 (Matching.count people (Ast.Build.finish b).Ast.query);
+  check_int "cities at depth" 2 (count people (Ast.Build.finish b).Ast.query);
   (* deep is one-or-more: an element is not its own descendant *)
   let b2 = Ast.Build.create () in
   let x = Ast.Build.q_elem b2 "city" in
   let y = Ast.Build.q_elem b2 "city" in
   Ast.Build.qdeep b2 x y;
-  check_int "city under city" 0 (Matching.count people (Ast.Build.finish b2).Ast.query)
+  check_int "city under city" 0 (count people (Ast.Build.finish b2).Ast.query)
 
 let test_absent_edge () =
   let b = Ast.Build.create () in
@@ -93,7 +95,7 @@ let test_absent_edge () =
   let a = Ast.Build.q_elem b "FULLADDR" in
   Ast.Build.qabsent b p a;
   check_int "one person without address" 1
-    (Matching.count people (Ast.Build.finish b).Ast.query)
+    (count people (Ast.Build.finish b).Ast.query)
 
 let test_position_pin () =
   let b = Ast.Build.create () in
@@ -120,8 +122,8 @@ let test_ordered_tick () =
     Ast.Build.qedge b ~ordered e bb;
     (Ast.Build.finish b).Ast.query
   in
-  check_int "unordered matches both" 2 (Matching.count doc_ordered (mk false));
-  check_int "ordered matches one" 1 (Matching.count doc_ordered (mk true))
+  check_int "unordered matches both" 2 (count doc_ordered (mk false));
+  check_int "ordered matches one" 1 (count doc_ordered (mk true))
 
 let test_value_join () =
   (* shared content circle between two parents = value equality *)
@@ -160,14 +162,14 @@ let test_cross_node_predicate () =
   Ast.Build.qedge b sal salv;
   (* Alice: 20000 >= 30000 no; Bob: 30000 >= 65000 no; Carla: 26000 >= 17000 yes *)
   check_int "salary >= age*1000" 1
-    (Matching.count people (Ast.Build.finish b).Ast.query)
+    (count people (Ast.Build.finish b).Ast.query)
 
 let test_regex_predicate () =
   let b = Ast.Build.create () in
   let ln = Ast.Build.q_elem b "lastname" in
   let v = Ast.Build.q_content b ~pred:(Ast.Matches (Ast.Self, "S.*th")) () in
   Ast.Build.qedge b ln v;
-  check_int "Smith" 1 (Matching.count people (Ast.Build.finish b).Ast.query)
+  check_int "Smith" 1 (count people (Ast.Build.finish b).Ast.query)
 
 let test_ref_edge () =
   let data = load {|<db><a id="x" ref="y"/><a id="y"/></db>|} in
@@ -175,7 +177,7 @@ let test_ref_edge () =
   let src = Ast.Build.q_elem b "a" in
   let dst = Ast.Build.q_elem b "a" in
   Ast.Build.qref b src dst;
-  check_int "one ref pair" 1 (Matching.count data (Ast.Build.finish b).Ast.query)
+  check_int "one ref pair" 1 (count data (Ast.Build.finish b).Ast.query)
 
 (* --- construction ---------------------------------------------------------- *)
 
@@ -513,7 +515,7 @@ let test_multiple_roots_order () =
 let test_predicate_units () =
   let env = { Predicate.data = people; binding = [||] } in
   let self = Some (Gql_data.Value.int 10) in
-  let ev p = Predicate.eval env ~self p in
+  let ev p = Predicate.compile p env ~self in
   check "eq" true (ev (Ast.Compare (Ast.Eq, Ast.Self, Ast.Const (Gql_data.Value.string "10"))));
   check "arith chain" true
     (ev (Ast.Compare (Ast.Eq,
@@ -527,15 +529,15 @@ let test_predicate_units () =
     (ev (Ast.Compare (Ast.Eq, Ast.Self, Ast.Node_value 99)));
   check "not" true (ev (Ast.Not (Ast.Compare (Ast.Lt, Ast.Self, Ast.Const (Gql_data.Value.int 5)))));
   check "contains" true
-    (Predicate.eval env ~self:(Some (Gql_data.Value.string "hello world")) 
-       (Ast.Contains_str (Ast.Self, "lo wo")));
+    (Predicate.compile (Ast.Contains_str (Ast.Self, "lo wo")) env
+       ~self:(Some (Gql_data.Value.string "hello world")));
   check "missing self is non-match" false
-    (Predicate.eval env ~self:None (Ast.Compare (Ast.Eq, Ast.Self, Ast.Self)))
+    (Predicate.compile (Ast.Compare (Ast.Eq, Ast.Self, Ast.Self)) env ~self:None)
 
 (* Substring predicates compare in place at every offset. *)
 let test_string_predicates () =
   let env = { Predicate.data = people; binding = [||] } in
-  let on subject p = Predicate.eval env ~self:(Some (Gql_data.Value.string subject)) p in
+  let on subject p = Predicate.compile p env ~self:(Some (Gql_data.Value.string subject)) in
   let contains s needle = on s (Ast.Contains_str (Ast.Self, needle)) in
   let starts s prefix = on s (Ast.Starts_with (Ast.Self, prefix)) in
   check "empty needle" true (contains "abc" "");
